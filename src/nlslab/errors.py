@@ -25,13 +25,13 @@ class ResonanceGapError(ArithmeticError):
     non-resonant while the removable symbol part is nonzero.
 
     This is surfaced (never masked): it means the classifier thresholds do
-    not cover the tuple, which is recorded as data.
+    not cover the tuple, which is recorded as data in ``tuple`` (stored
+    frequencies).
     """
 
-    def __init__(self, message, tuple_=None, values=None):
+    def __init__(self, message, tuple_=None):
         super().__init__(message)
         self.tuple = tuple_
-        self.values = values or {}
 
 
 class IntegrationError(RuntimeError):

@@ -8,16 +8,16 @@ step halving until the mass drift meets tolerance.
 
 The fundamental-theorem check integrates the two flow terms of the second
 modified energy and compares against the endpoint difference of the first.
-All hyperplane functionals along a trajectory are frozen once per support:
-tuple sets and symbol values are amplitude-independent, so each sample costs
-one gather-and-dot.
+Each hyperplane functional along a trajectory is one symbols._FrozenLambda
+table built once for the fixed support, so each sample costs one
+gather-and-dot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,14 +27,14 @@ from .symbols import (
     DEFAULT_THRESHOLDS,
     MultiplierParams,
     Thresholds,
-    _as_int_lam,
+    _FrozenLambda,
+    _real_part,
     _symbol_batch,
     energy_e1i,
     homogeneous_h1_sq,
     l6_now,
+    symbol_fn,
 )
-
-_TAU = math.tau
 
 
 # ---------------------------------------------------------------------------
@@ -202,67 +202,7 @@ def energy_drift(traj: Trajectory, *, relative: bool = True) -> float:
 
 
 # ---------------------------------------------------------------------------
-# frozen hyperplane functionals
-
-
-class _FrozenLambda:
-    """Hyperplane functional with precomputed tuples and symbol values.
-
-    For a uniform support the valid stored tuples, their factor positions,
-    and the symbol values are amplitude-independent; evaluation at a state is
-    a gather-and-dot over the precomputed rows.
-    """
-
-    def __init__(self, symbol, S: np.ndarray, lam: float, arity: int):
-        ilam = _as_int_lam(lam)
-        m = len(S)
-        total = m ** (arity - 1)
-        digit_parts, last_parts, val_parts = [], [], []
-        chunk = 1 << 21
-        for a in range(0, total, chunk):
-            flat = np.arange(a, min(a + chunk, total), dtype=np.int64)
-            digits = []
-            rem = flat
-            for _ in range(arity - 1):
-                digits.append(rem % m)
-                rem = rem // m
-            stored = [
-                S[d] if i % 2 == 0 else -S[d] for i, d in enumerate(digits)
-            ]
-            ssum = np.sum(stored, axis=0)
-            pos = np.searchsorted(S, ssum)
-            pos_c = np.clip(pos, 0, m - 1)
-            ok = S[pos_c] == ssum  # last (even) slot needs mode +ssum
-            if not ok.any():
-                continue
-            js = np.stack(
-                [c[ok] for c in stored] + [-ssum[ok]], axis=1
-            )
-            digit_parts.append(
-                np.stack([d[ok] for d in digits], axis=1).astype(np.int32)
-            )
-            last_parts.append(pos_c[ok].astype(np.int32))
-            val_parts.append(np.asarray(symbol(js, ilam), dtype=np.float64))
-        self.arity = arity
-        self.scale = _TAU / lam ** (arity - 1)
-        if digit_parts:
-            self.digits = np.concatenate(digit_parts, axis=0)
-            self.last = np.concatenate(last_parts)
-            self.values = np.concatenate(val_parts)
-        else:
-            self.digits = np.zeros((0, arity - 1), dtype=np.int32)
-            self.last = np.zeros(0, dtype=np.int32)
-            self.values = np.zeros(0)
-
-    def __call__(self, uhat: np.ndarray) -> complex:
-        if len(self.values) == 0:
-            return 0.0 + 0.0j
-        acc = self.values.astype(np.complex128)
-        cu = np.conj(uhat)
-        for i in range(self.arity - 1):
-            acc *= (uhat if i % 2 == 0 else cu)[self.digits[:, i]]
-        acc *= cu[self.last]
-        return self.scale * complex(acc.sum())
+# flow-identity ingredients
 
 
 def _m10_symbol(S: np.ndarray, p: MultiplierParams, sign: int, th: Thresholds):
@@ -325,7 +265,6 @@ def ftc_residual(
     p: MultiplierParams,
     *,
     th: Thresholds = DEFAULT_THRESHOLDS,
-    imag_tol: float = 1e-9,
 ) -> FtcReport:
     """Residual of the integrated flow identity for the modified energy.
 
@@ -342,21 +281,15 @@ def ftc_residual(
     e1_0 = energy_e1i(traj.state(0), p, sign=traj.sign)
     e1_t = energy_e1i(traj.state(traj.n_samples - 1), p, sign=traj.sign)
 
-    from .symbols import symbol_fn  # local import to keep module load light
+    tilde = _FrozenLambda(symbol_fn("sigma6tilde", p, th=th), [S] * 6, lam)
+    bar = _FrozenLambda(symbol_fn("M6bar", p, th=th), [S] * 6, lam)
+    ten = _FrozenLambda(_m10_symbol(S, p, traj.sign, th), [S] * 10, lam)
 
-    tilde = _FrozenLambda(symbol_fn("sigma6tilde", p, th=th), S, lam, 6)
-    bar = _FrozenLambda(symbol_fn("M6bar", p, th=th), S, lam, 6)
-    ten = _FrozenLambda(_m10_symbol(S, p, traj.sign, th), S, lam, 10)
+    def at(table, i: int):
+        return table([traj.uhats[i]] * table.arity)
 
-    def real_of(z: complex, what: str) -> float:
-        if abs(z) > 0 and abs(z.imag) > imag_tol * abs(z):
-            raise ArithmeticError(
-                f"{what}: imaginary residue {z.imag:.3e} of magnitude {abs(z):.3e}"
-            )
-        return z.real
-
-    corr_0 = real_of(tilde(traj.uhats[0]), "endpoint correction")
-    corr_t = real_of(tilde(traj.uhats[-1]), "endpoint correction")
+    corr_0 = _real_part(*at(tilde, 0), "endpoint correction")
+    corr_t = _real_part(*at(tilde, -1), "endpoint correction")
 
     if traj.n_samples == 1:
         integral_bar = integral_ten = 0.0
@@ -364,10 +297,10 @@ def ftc_residual(
         g_bar = np.empty(traj.n_samples)
         g_ten = np.empty(traj.n_samples)
         for i in range(traj.n_samples):
-            zb = 1j * mu * bar(traj.uhats[i])
-            zt = -1j * mu * ten(traj.uhats[i])
-            g_bar[i] = real_of(zb, "resonant flow term")
-            g_ten[i] = real_of(zt, "ten-linear flow term")
+            zb, mass_b = at(bar, i)
+            zt, mass_t = at(ten, i)
+            g_bar[i] = _real_part(1j * mu * zb, mass_b, "resonant flow term")
+            g_ten[i] = _real_part(-1j * mu * zt, mass_t, "ten-linear flow term")
         h = float(traj.times[1] - traj.times[0])
         integral_bar = _simpson(g_bar, h)
         integral_ten = _simpson(g_ten, h)

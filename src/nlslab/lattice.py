@@ -10,10 +10,10 @@ handled through its Gram form x^2 + xy + y^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .rng import stream
 

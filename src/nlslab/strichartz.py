@@ -12,13 +12,13 @@ integer difference of the q's, so zero/nonzero resonance decisions are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import CapExceededError
-from .fourier import FourierState, evolve_linear
+from .fourier import FourierState
 from .rng import stream
 
 _TAU = math.tau

@@ -34,6 +34,17 @@ _TAU = math.tau
 #: Mode-count caps for exact hyperplane sums, keyed by arity.
 GAMMA_MODE_CAPS = {6: 12, 10: 5}
 
+#: Candidate tuples per enumeration chunk; bounds the transient index arrays.
+_CHUNK = 1 << 21
+
+#: Largest imaginary part a real hyperplane sum may carry, relative to the
+#: summed magnitudes of its terms.
+IMAG_RESIDUE_TOL = 1e-10
+
+#: Largest disagreement between the norm and symbol forms of E1, relative to
+#: max(1, |either form|).
+ENERGY_FORMS_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -75,15 +86,12 @@ class MultiplierParams:
 
     N: int
     s: float
-    interp: str = "power"
 
     def __post_init__(self):
         if self.N < 1 or self.N & (self.N - 1):
             raise ValueError("N must be a dyadic integer >= 1")
         if not 0.0 < self.s < 1.0:
             raise ValueError("s must lie in (0, 1)")
-        if self.interp != "power":
-            raise ValueError(f"unknown interpolation rule {self.interp!r}")
 
 
 def multiplier_m(r: float, p: MultiplierParams) -> float:
@@ -419,10 +427,9 @@ def _symbol_batch(
             if on_gap == "zero":
                 m6tilde = np.where(zero, 0.0, m6tilde)
             else:
-                row = js[int(np.flatnonzero(gap)[0])]
+                row = tuple(int(v) for v in js[int(np.flatnonzero(gap)[0])])
                 raise ResonanceGapError(
-                    "vanishing phase gap with nonzero nonresonant symbol at "
-                    f"{tuple(int(v) for v in row)}"
+                    f"vanishing phase gap with nonzero nonresonant symbol at {row}", row
                 )
         out = np.zeros(len(js))
         nz = ~zero
@@ -480,9 +487,96 @@ def _as_int_lam(lam: float) -> int:
     return ilam
 
 
-def _gamma_sum(symbol, states: Sequence[FourierState], mode_cap: Optional[int]) -> complex:
-    """sum over the stored zero-sum hyperplane of symbol * uhat factors,
-    scaled by 2*pi/lam^(n-1).  Even slots conjugate their factor."""
+def _zero_sum_chunks(supports: Sequence[np.ndarray]):
+    """Stored zero-sum tuples with one support of modes per slot.
+
+    Odd slots store the mode and even slots its negation.  The first n-1
+    slots run over all mode combinations, the first slot fastest, in chunks
+    of ``_CHUNK`` candidates; the last slot is solved from the zero sum and
+    kept when its mode is in its support.  Yields ``(digits, last_pos, js)``
+    per chunk for the kept rows: int32 positions in the supports of the first
+    n-1 slots and of the last slot's mode, and the stored tuples.
+    """
+    slots = [s if i % 2 == 0 else -s for i, s in enumerate(supports[:-1])]
+    last = supports[-1]
+    total = math.prod(len(s) for s in slots)
+    for a in range(0, total, _CHUNK):
+        rem = np.arange(a, min(a + _CHUNK, total), dtype=np.int64)
+        digits, ssum = [], 0
+        for s in slots:
+            rem, d = np.divmod(rem, len(s))
+            digits.append(d)
+            ssum = ssum + s[d]
+        # the arity is even, so the last slot is even: stored -ssum needs mode +ssum
+        pos = np.clip(np.searchsorted(last, ssum), 0, len(last) - 1)
+        ok = last[pos] == ssum
+        # rebinding drops the chunk-wide digits before the caller works on the rows
+        digits = np.stack([d[ok] for d in digits], axis=1).astype(np.int32)
+        js = np.column_stack([s[d] for s, d in zip(slots, digits.T)] + [-ssum[ok]])
+        yield digits, pos[ok].astype(np.int32), js
+
+
+class _FrozenLambda:
+    """Hyperplane sum of a symbol with its tuples and symbol values precomputed.
+
+    The stored zero-sum tuples over per-slot supports, their factor positions
+    and the symbol values do not depend on the amplitudes, so evaluating at
+    per-slot coefficient arrays is a gather-and-dot over the stored rows,
+    scaled by 2*pi/lam^(n-1).  Even slots conjugate their factor.  The
+    supports must be nonempty.
+    """
+
+    def __init__(self, symbol, supports: Sequence[np.ndarray], lam: float):
+        ilam = _as_int_lam(lam)
+        self.arity = len(supports)
+        self.scale = _TAU / lam ** (self.arity - 1)
+        digit_parts, last_parts, val_parts = [], [], []
+        for digits, last, js in _zero_sum_chunks(supports):
+            digit_parts.append(digits)
+            last_parts.append(last)
+            val_parts.append(np.asarray(symbol(js, ilam), dtype=np.float64))
+        self.digits = np.concatenate(digit_parts, axis=0)
+        self.last = np.concatenate(last_parts)
+        self.values = np.concatenate(val_parts)
+
+    def __call__(self, coeffs: Sequence[np.ndarray]) -> tuple[complex, float]:
+        """The sum at per-slot coefficient arrays, and the sum of its terms'
+        magnitudes, which ``_real_part`` measures a residue against."""
+        terms = self.values.astype(np.complex128)
+        for i, c in enumerate(coeffs[:-1]):
+            terms *= (c if i % 2 == 0 else np.conj(c))[self.digits[:, i]]
+        terms *= np.conj(coeffs[-1])[self.last]
+        return self.scale * complex(terms.sum()), self.scale * float(np.abs(terms).sum())
+
+
+def _real_part(z: complex, mass: float, what: str) -> float:
+    """Real part of a hyperplane sum that must be real.
+
+    The imaginary part is checked against ``mass``, the summed magnitudes of
+    the terms: against ``|z|`` it could not hold where the sum itself cancels
+    to roundoff.  A residue above IMAG_RESIDUE_TOL signals a non-symmetric
+    symbol and is surfaced as an arithmetic failure.
+    """
+    if abs(z.imag) > IMAG_RESIDUE_TOL * mass:
+        raise ArithmeticError(
+            f"{what}: imaginary residue {z.imag:.3e} exceeds "
+            f"{IMAG_RESIDUE_TOL:g} of the summed term magnitudes {mass:.3e}"
+        )
+    return z.real
+
+
+def lambda_n_evaluate(
+    symbol,
+    states: Sequence[FourierState],
+    *,
+    mode_cap: Optional[int] = None,
+) -> float:
+    """Real multilinear functional Lambda_n(symbol; states).
+
+    The symbol is a vectorized callable on stored-tuple rows; each slot draws
+    its modes from its own state.  Supports above the arity's mode cap
+    (GAMMA_MODE_CAPS unless ``mode_cap`` is given) are refused.
+    """
     n = len(states)
     if n % 2 or n < 2:
         raise ValueError("even arity required")
@@ -497,74 +591,9 @@ def _gamma_sum(symbol, states: Sequence[FourierState], mode_cap: Optional[int]) 
                     f"state with {s.n_modes} modes exceeds the arity-{n} cap {cap}"
                 )
     if any(s.n_modes == 0 for s in states):
-        return 0.0 + 0.0j
-    ilam = _as_int_lam(lam)
-
-    uh = [s.uhat_array() for s in states]
-    stored = []  # stored-frequency values per slot
-    factors = []
-    for i, s in enumerate(states):
-        if i % 2 == 0:
-            stored.append(s.indices.copy())
-            factors.append(uh[i])
-        else:
-            stored.append(-s.indices)
-            factors.append(np.conj(uh[i]))
-
-    sizes = [len(s.indices) for s in states[:-1]]
-    total = int(np.prod(sizes, dtype=np.int64))
-    last_js = states[-1].indices
-    last_f = factors[-1]
-
-    acc = 0.0 + 0.0j
-    chunk = 1 << 21
-    for a in range(0, total, chunk):
-        flat = np.arange(a, min(a + chunk, total), dtype=np.int64)
-        digits = []
-        rem = flat
-        for m in reversed(sizes):
-            digits.append(rem % m)
-            rem = rem // m
-        digits.reverse()
-        cols = [stored[i][digits[i]] for i in range(n - 1)]
-        ssum = np.sum(cols, axis=0)
-        # last slot: stored value -ssum; for even arity its mode index is +ssum
-        mode = ssum if n % 2 == 0 else -ssum
-        pos = np.searchsorted(last_js, mode)
-        pos_c = np.clip(pos, 0, len(last_js) - 1)
-        ok = last_js[pos_c] == mode
-        if not ok.any():
-            continue
-        cols = [c[ok] for c in cols] + [-ssum[ok]]
-        vals = np.ones(int(ok.sum()), dtype=np.complex128)
-        for i in range(n - 1):
-            vals *= factors[i][digits[i][ok]]
-        vals *= last_f[pos_c[ok]]
-        js_mat = np.stack(cols, axis=1)
-        acc += np.sum(np.asarray(symbol(js_mat, ilam)) * vals)
-    return acc * (_TAU / lam ** (n - 1))
-
-
-def lambda_n_evaluate(
-    symbol,
-    states: Sequence[FourierState],
-    *,
-    mode_cap: Optional[int] = None,
-    imag_tol: float = 1e-10,
-) -> float:
-    """Real multilinear functional Lambda_n(symbol; states).
-
-    The symbol is a vectorized callable on stored-tuple rows.  An imaginary
-    residue above ``imag_tol`` relative signals a non-symmetric symbol and is
-    surfaced as an arithmetic failure.
-    """
-    acc = _gamma_sum(symbol, states, mode_cap)
-    mag = abs(acc)
-    if mag > 0 and abs(acc.imag) > imag_tol * mag:
-        raise ArithmeticError(
-            f"imaginary residue {acc.imag:.3e} exceeds {imag_tol:g} of {mag:.3e}"
-        )
-    return float(acc.real)
+        return 0.0
+    table = _FrozenLambda(symbol, [s.indices for s in states], lam)
+    return _real_part(*table([s.uhat_array() for s in states]), "hyperplane sum")
 
 
 def homogeneous_h1_sq(state: FourierState) -> float:
@@ -587,7 +616,6 @@ def energy_e1i(
     p: MultiplierParams,
     *,
     sign: int = +1,
-    rel_tol: float = 1e-10,
 ) -> float:
     """First modified energy (1/2)||I u||_{H^1-dot}^2 ± (1/6)||I u||_{L^6}^6.
 
@@ -601,7 +629,7 @@ def energy_e1i(
         sym = lambda_n_evaluate(symbol_fn("sigma2", p), [state, state])
         sym += lambda_n_evaluate(symbol_fn("sigma6", p, sign=sign), [state] * 6)
         scale = max(1.0, abs(norm_form), abs(sym))
-        if abs(sym - norm_form) > rel_tol * scale:
+        if abs(sym - norm_form) > ENERGY_FORMS_RTOL * scale:
             raise ArithmeticError(
                 f"energy forms disagree: symbol {sym!r} vs norm {norm_form!r}"
             )
@@ -617,24 +645,8 @@ def support_tuples(support: Sequence[int], arity: int = 6) -> np.ndarray:
     S = np.asarray(sorted(int(j) for j in support), dtype=np.int64)
     if arity % 2 or arity < 2:
         raise ValueError("even arity required")
-    m = len(S)
-    total = m ** (arity - 1)
-    flat = np.arange(total, dtype=np.int64)
-    cols = []
-    rem = flat
-    for _ in range(arity - 1):
-        cols.append(rem % m)
-        rem = rem // m
-    stored = []
-    for i, dig in enumerate(cols):
-        stored.append(S[dig] if i % 2 == 0 else -S[dig])
-    ssum = np.sum(stored, axis=0)
-    # last slot is even for even arity: stored value -ssum needs mode +ssum
-    pos = np.searchsorted(S, ssum)
-    pos_c = np.clip(pos, 0, m - 1)
-    ok = S[pos_c] == ssum
-    rows = [c[ok] for c in stored] + [-ssum[ok]]
-    return np.stack(rows, axis=1)
+    rows = [js for _, _, js in _zero_sum_chunks([S] * arity)]
+    return np.concatenate(rows) if rows else np.zeros((0, arity), dtype=np.int64)
 
 
 def support_gap_audit(
@@ -735,7 +747,7 @@ def bound_scan_symbols(
     records: list[BoundScanRecord] = []
     op_ratios: list[float] = []
     for N in N_list:
-        pN = MultiplierParams(int(N), p.s, p.interp)
+        pN = MultiplierParams(int(N), p.s)
         rng = stream(seed, 31, int(N))
         js = _sample_tuples(rng, sample_count, int(N), lam)
         codes, upsilon, can, cls, scls = _classify_batch(js, lam, pN, th)

@@ -185,6 +185,13 @@ class TestExperiments:
         assert max(masses) - min(masses) <= 1e-8
         assert doc["meta"]["relative"] <= 1e-9
 
+    @pytest.mark.parametrize("support", [[0, 4, 8], [0, 4, 12], [0, 4, 8, 12]])
+    def test_energy_track_roundoff_tenlinear_term(self, tmp_path, support):
+        # the ten-linear flow term is zero up to roundoff on these supports,
+        # so its imaginary residue is only measurable against its terms
+        rc, _ = run_cli(tmp_path, ["energy-track"], config={"support": support})
+        assert rc == 0
+
     def test_trilinear_single_geometry(self, tmp_path):
         rc, out = run_cli(
             tmp_path,

@@ -1,5 +1,6 @@
 """Tests for the truncated quintic flow and the modified-energy flow identity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from nlslab.fourier import FourierState, evolve_linear
 from nlslab.galerkin import (
     FtcReport,
     Trajectory,
-    _FrozenLambda,
+    _m10_symbol,
     _simpson,
     energy_drift,
     ftc_residual,
@@ -19,8 +20,9 @@ from nlslab.galerkin import (
 )
 from nlslab.rng import stream
 from nlslab.symbols import (
+    DEFAULT_THRESHOLDS,
     MultiplierParams,
-    _gamma_sum,
+    _FrozenLambda,
     lambda_n_evaluate,
     symbol_fn,
 )
@@ -37,6 +39,29 @@ def seeded_state(key, lam, support):
 
 ACCEPT = seeded_state(0, 4.0, (0, 4, 8, 20))
 ACTIVE = seeded_state(5, 1.0, (-4, -3, 3, 4))
+
+
+def brute_force_sum(symbol, states):
+    """Complex hyperplane sum term by term over every slot assignment."""
+    lam = states[0].lam
+    coeffs = [s.uhat_array() for s in states]
+    rows, weights = [], []
+    for picks in itertools.product(*(range(s.n_modes) for s in states)):
+        js, w = [], 1.0 + 0.0j
+        for i, (s, k) in enumerate(zip(states, picks)):
+            c = coeffs[i][k]
+            js.append(int(s.indices[k]) if i % 2 == 0 else -int(s.indices[k]))
+            w *= c if i % 2 == 0 else c.conjugate()
+        if sum(js) == 0:
+            rows.append(js)
+            weights.append(w)
+    vals = symbol(np.array(rows, dtype=np.int64), int(lam))
+    return math.tau / lam ** (len(states) - 1) * complex(np.dot(vals, weights))
+
+
+def frozen_sum(symbol, states):
+    table = _FrozenLambda(symbol, [s.indices for s in states], states[0].lam)
+    return table([s.uhat_array() for s in states])[0]
 
 
 class TestIntegrator:
@@ -105,24 +130,36 @@ class TestIntegrator:
 class TestFrozenLambda:
     def test_matches_generic_evaluation(self):
         # M6_1 flips sign under the conjugate pairing, so its form is purely
-        # imaginary; compare against the raw complex sum rather than the
+        # imaginary; compare the raw complex sums rather than the
         # real-checking evaluator
         u = seeded_state(3, 2.0, (-4, -1, 0, 2, 6))
         for sym, arity in (("sigma2", 2), ("sigma6", 6), ("M6_1", 6)):
-            frozen = _FrozenLambda(symbol_fn(sym, P4), u.indices, u.lam, arity)
-            got = frozen(u.uhat_array())
-            want = _gamma_sum(symbol_fn(sym, P4), [u] * arity, None)
+            want = brute_force_sum(symbol_fn(sym, P4), [u] * arity)
+            got = frozen_sum(symbol_fn(sym, P4), [u] * arity)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-        real = lambda_n_evaluate(symbol_fn("sigma2", P4), [u, u])
-        frozen2 = _FrozenLambda(symbol_fn("sigma2", P4), u.indices, u.lam, 2)
-        assert frozen2(u.uhat_array()).real == pytest.approx(real, rel=1e-12)
+        # the ten-linear form cancels to roundoff on one repeated state, so
+        # its slots take two different states on one support
+        w = seeded_state(4, 1.0, (-2, 1, 3))
+        x = seeded_state(7, 1.0, (-2, 1, 3))
+        ten = _m10_symbol(w.indices, P2, +1, DEFAULT_THRESHOLDS)
+        want = brute_force_sum(ten, [w] * 5 + [x] * 5)
+        assert abs(want) > 1e-3
+        assert frozen_sum(ten, [w] * 5 + [x] * 5) == pytest.approx(want, rel=1e-12)
+        # mixed states: each slot reads its own support and coefficients
+        v = seeded_state(6, 2.0, (-1, 2, 3, 6))
+        for sym, arity in (("sigma2", 2), ("sigma6", 6)):
+            want = brute_force_sum(symbol_fn(sym, P4), [u, v] * (arity // 2))
+            assert abs(want) > 1e-3
+            got = frozen_sum(symbol_fn(sym, P4), [u, v] * (arity // 2))
+            assert got == pytest.approx(want, rel=1e-12)
+        want = brute_force_sum(symbol_fn("sigma2", P4), [u, u]).real
+        assert lambda_n_evaluate(symbol_fn("sigma2", P4), [u, u]) == pytest.approx(want, rel=1e-12)
 
     def test_single_mode_diagonal_pair(self):
         # only the diagonal (5, -5) survives: sigma2 = 12.5 * m(5)^2 = 10 at
         # N=4, s=1/2, so the form is 2*pi*10 exactly
         u = FourierState.from_uhat(1.0, {5: 1.0})
-        frozen = _FrozenLambda(symbol_fn("sigma2", P4), u.indices, u.lam, 2)
-        got = frozen(u.uhat_array())
+        got = frozen_sum(symbol_fn("sigma2", P4), [u, u])
         assert got.real == pytest.approx(20.0 * math.pi, rel=1e-14)
         assert got.imag == 0.0
 
@@ -139,16 +176,16 @@ class TestFlowIdentity:
         # d/dt Lambda_2(sigma2) along the flow equals Re[i*mu*Lambda_6(M6_1)],
         # checked by centered differences at second order
         u0 = ACTIVE
-        lam2 = _FrozenLambda(symbol_fn("sigma2", P2), u0.indices, u0.lam, 2)
-        m61 = _FrozenLambda(symbol_fn("M6_1", P2), u0.indices, u0.lam, 6)
+        lam2 = _FrozenLambda(symbol_fn("sigma2", P2), [u0.indices] * 2, u0.lam)
+        m61 = _FrozenLambda(symbol_fn("M6_1", P2), [u0.indices] * 6, u0.lam)
         errs = []
         for n in (33, 65):
             traj = integrate_galerkin(u0, 0.02, dt=0.02 / (n - 1), sign=+1, n_samples=n)
             h = float(traj.times[1] - traj.times[0])
-            vals = np.array([lam2(traj.uhats[i]).real for i in range(n)])
+            vals = np.array([lam2([traj.uhats[i]] * 2)[0].real for i in range(n)])
             mid = (vals[2:] - vals[:-2]) / (2 * h)
             flux = np.array(
-                [(1j * m61(traj.uhats[i])).real for i in range(1, n - 1)]
+                [(1j * m61([traj.uhats[i]] * 6)[0]).real for i in range(1, n - 1)]
             )
             errs.append(np.max(np.abs(mid - flux)))
         assert errs[1] < errs[0] / 3  # second-order shrink

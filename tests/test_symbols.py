@@ -1,6 +1,7 @@
 """Tests for the frequency-cutoff multiplier, resonance classification, and
 multilinear symbol evaluation."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -76,8 +77,6 @@ class TestMultiplier:
             MultiplierParams(8, 0.0)
         with pytest.raises(ValueError):
             MultiplierParams(8, 1.0)
-        with pytest.raises(ValueError):
-            MultiplierParams(8, 0.5, interp="linear")
 
     def test_apply_identity_below_cutoff(self):
         u = FourierState.from_uhat(2.0, {-7: 1.0 + 2j, 0: 0.5, 8: -1j})
@@ -284,8 +283,9 @@ class TestSymbols:
     def test_gap_tuple_raises(self):
         gap = FreqTuple((13, -12, 0, 3, 0, -4))
         assert omega_n(gap) == 0
-        with pytest.raises(ResonanceGapError):
+        with pytest.raises(ResonanceGapError) as ei:
             evaluate_symbol("sigma6tilde", gap, P4)
+        assert ei.value.tuple == (13, -12, 0, 3, 0, -4)
         fn = symbol_fn("sigma6tilde", P4, on_gap="zero")
         assert fn(np.array([gap.js]), 1)[0] == 0.0
 
@@ -365,6 +365,13 @@ class TestLambdaForms:
         with pytest.raises(ArithmeticError):
             lambda_n_evaluate(symbol_fn("sigma2", P16), [u, v])
 
+    def test_asymmetric_symbol_surfaces_on_multimode_support(self):
+        # M6_1 flips sign under the conjugate pairing, so its form is purely
+        # imaginary: the residue is of the size of the summed terms
+        u = rand_state(stream(24, 3), 2.0, [-4, -1, 0, 2, 6])
+        with pytest.raises(ArithmeticError):
+            lambda_n_evaluate(symbol_fn("M6_1", P4), [u] * 6)
+
     def test_empty_and_mismatched_states(self):
         u = FourierState.from_uhat(1.0, {1: 1.0})
         empty = FourierState(1.0, [], [])
@@ -391,6 +398,10 @@ class TestSupportAudit:
         rows = support_tuples((0, 1), 2)
         assert sorted(map(tuple, rows.tolist())) == [(0, 0), (1, -1)]
         assert len(support_tuples((0, 4, 8, 20), 6)) == 370
+        for support, arity in (((-2, 0, 1, 3), 2), ((-2, 0, 1, 3), 6), ((0, 1, 3), 10)):
+            slots = [support if i % 2 == 0 else [-j for j in support] for i in range(arity)]
+            want = sorted(t for t in itertools.product(*slots) if sum(t) == 0)
+            assert sorted(map(tuple, support_tuples(support, arity).tolist())) == want
 
     def test_gap_free_supports(self):
         assert support_gap_audit((0, 4, 8, 20), 4, P4) == 370
@@ -398,9 +409,12 @@ class TestSupportAudit:
         assert support_gap_audit((-4, -3, 3, 4), 1, MultiplierParams(2, 0.5)) == 400
 
     def test_gap_support_raises(self):
-        # the mode set reaches the stored tuple (13, -12, 0, 3, 0, -4)
-        with pytest.raises(ResonanceGapError):
+        # the mode set reaches the stored tuple (13, -12, 0, 3, 0, -4); the
+        # audit reports the first gap row in enumeration order, which is its
+        # conjugate with the slots permuted
+        with pytest.raises(ResonanceGapError) as ei:
             support_gap_audit((-3, 0, 4, 12, 13), 1, P4)
+        assert ei.value.tuple == (12, 0, 4, 0, -3, -13)
 
 
 class TestBoundScan:
