@@ -18,7 +18,6 @@ from .lattice import (  # noqa: F401
     CountRecord,
     DEEP_HOLE_OFFSETS,
     HEX_FORM,
-    LatticeBasis2,
     QuadraticForm2,
     SQUARE_FORM,
     adversarial_centers,
@@ -26,8 +25,6 @@ from .lattice import (  # noqa: F401
     count_points,
     count_points_naive,
     gauss_error,
-    gram_form,
-    hex_basis,
     random_centers,
     scan_hypothesis_h,
 )

@@ -208,8 +208,6 @@ def _run_strichartz_scan(q: dict, seed: int):
         n_random=q["n_random"],
         include_constant=q["include_constant"],
         seed=seed,
-        exact_max_modes=q["exact_max_modes"],
-        quad_rtol=q["quad_rtol"],
     )
     rows = [
         {"n": r.n, "member": r.member, "r_value": r.r_value, "method": r.method}
@@ -266,7 +264,7 @@ def _run_symbol_bound_scan(q: dict, seed: int):
         }
         for r in rep.records
     ]
-    return rows, {"decay_exponent": rep.decay_exponent}
+    return rows, {}
 
 
 def _run_energy_track(q: dict, seed: int):
@@ -389,8 +387,6 @@ EXPERIMENTS = {
                 Param("N_list", "ints", [16, 32, 64, 128], nonempty=True),
                 Param("n_random", "int", 4),
                 Param("include_constant", "bool", True),
-                Param("exact_max_modes", "int", 160),
-                Param("quad_rtol", "float", 1e-7),
             ),
             ("n", "member", "r_value", "method"),
             _run_strichartz_scan,

@@ -71,66 +71,6 @@ DEEP_HOLE_OFFSETS = (
 
 
 @dataclass(frozen=True)
-class LatticeBasis2:
-    """Planar lattice basis with exact entries.
-
-    Entries may be rationals or exact radical expressions (anything sympy can
-    keep exact, e.g. sqrt(3)/2), so the hexagonal basis (1,0), (1/2, sqrt(3)/2)
-    is representable.  Counting never touches the raw coordinates: it goes
-    through the (rational) Gram form.
-    """
-
-    v1: tuple
-    v2: tuple
-
-    def __post_init__(self):
-        import sympy as sp
-
-        v1 = tuple(sp.sympify(t) for t in self.v1)
-        v2 = tuple(sp.sympify(t) for t in self.v2)
-        if len(v1) != 2 or len(v2) != 2:
-            raise ValueError("basis vectors must have 2 components")
-        det = sp.simplify(v1[0] * v2[1] - v1[1] * v2[0])
-        if det.is_zero:
-            raise ValueError("basis vectors must be linearly independent")
-        object.__setattr__(self, "v1", v1)
-        object.__setattr__(self, "v2", v2)
-
-
-def hex_basis() -> LatticeBasis2:
-    """The standard hexagonal basis (1, 0), (1/2, sqrt(3)/2)."""
-    import sympy as sp
-
-    return LatticeBasis2((1, 0), (sp.Rational(1, 2), sp.sqrt(3) / 2))
-
-
-def gram_form(basis: LatticeBasis2 | Sequence) -> QuadraticForm2:
-    """Gram form |x v1 + y v2|^2 of a basis, as an exact rational form.
-
-    Raises ValueError if a Gram entry is irrational (the squared lengths and
-    inner product must simplify to rationals even when coordinates do not).
-    """
-    import sympy as sp
-
-    if not isinstance(basis, LatticeBasis2):
-        basis = LatticeBasis2(tuple(basis[0]), tuple(basis[1]))
-    v1, v2 = basis.v1, basis.v2
-
-    def dot(u, w):
-        return sp.expand(u[0] * w[0] + u[1] * w[1])
-
-    entries = []
-    for expr in (dot(v1, v1), 2 * dot(v1, v2), dot(v2, v2)):
-        expr = sp.nsimplify(sp.simplify(expr))
-        if not expr.is_rational:
-            raise ValueError(f"Gram entry {expr} is not rational")
-        expr = sp.Rational(expr)
-        entries.append(Fraction(int(expr.p), int(expr.q)))
-    a, b, c = entries
-    return QuadraticForm2(a, b, c)
-
-
-@dataclass(frozen=True)
 class AnnulusSpec:
     """Annulus r1sq <= Q <= r2sq (or < r2sq) around a rational center.
 

@@ -12,7 +12,7 @@ exactly, and `verify_reduction` re-checks the match on larger grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
@@ -178,7 +178,6 @@ class VerificationReport:
     total: int
     failures: list[CellCheck]
     spot_checked: int = 0
-    cells: list[CellCheck] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -192,7 +191,6 @@ def _grid_mismatches(
     scale: Fraction,
     offset: tuple[Fraction, Fraction],
     plane_hists,
-    limit: int | None = None,
 ) -> list[CellCheck]:
     out: list[CellCheck] = []
     for K in k_set:
@@ -203,8 +201,6 @@ def _grid_mismatches(
                 continue
             for ell in np.nonzero(plane_h != hex_h)[0]:
                 out.append(CellCheck(n, int(ell), K, int(plane_h[ell]), int(hex_h[ell])))
-                if limit is not None and len(out) >= limit:
-                    return out
     return out
 
 
@@ -272,7 +268,6 @@ def verify_reduction(
     *,
     spot_checks: int = 32,
     seed: int = 0,
-    keep_cells: bool = False,
 ) -> VerificationReport:
     """Exact re-check of a calibration on an arbitrary grid.
 
@@ -286,25 +281,14 @@ def verify_reduction(
         raise ValueError("verification grid must be nonempty")
 
     plane_hists = {(n, K): _plane_histogram(n, K, radius_cap) for n in ns for K in k_set}
+    total = sum(len(h) for h in plane_hists.values())
+    # planes grouped by offset, so each (offset, K) histogram is built once
+    by_offset: dict[tuple[Fraction, Fraction], list[int]] = {}
+    for n in ns:
+        by_offset.setdefault(calib.offsets[n % 3], []).append(n)
     failures: list[CellCheck] = []
-    cells: list[CellCheck] = []
-    total = 0
-    hex_cache: dict[tuple, np.ndarray] = {}
-    for K in k_set:
-        for n in ns:
-            off = calib.offsets[n % 3]
-            key = (off, K)
-            if key not in hex_cache:
-                hex_cache[key] = _hex_histogram(off, calib.radius_scale, K, radius_cap)
-            hex_h = hex_cache[key]
-            plane_h = plane_hists[(n, K)]
-            total += len(plane_h)
-            diff = np.nonzero(plane_h != hex_h)[0]
-            for ell in diff:
-                failures.append(CellCheck(n, int(ell), K, int(plane_h[ell]), int(hex_h[ell])))
-            if keep_cells:
-                for ell in range(len(plane_h)):
-                    cells.append(CellCheck(n, ell, K, int(plane_h[ell]), int(hex_h[ell])))
+    for off, group in by_offset.items():
+        failures += _grid_mismatches(group, k_set, radius_cap, calib.radius_scale, off, plane_hists)
 
     rng = stream(seed, 101)
     done = 0
@@ -324,4 +308,4 @@ def verify_reduction(
         if lhs != rhs:
             failures.append(CellCheck(n, ell, K, lhs, rhs))
         done += 1
-    return VerificationReport(total=total, failures=failures, spot_checked=done, cells=cells)
+    return VerificationReport(total=total, failures=failures, spot_checked=done)

@@ -26,6 +26,9 @@ _TAU = math.tau
 #: Largest support size accepted by the exact sextuple evaluation.
 DEFAULT_SUPPORT_CAP = 160
 
+#: Relative accuracy to which the scan's Gauss-Legendre panels are sized.
+QUAD_RTOL = 1e-7
+
 #: Per-sigma class counts up to this size are paired by direct outer product;
 #: larger groups go through one shared FFT autocorrelation pass.
 _DIRECT_PAIR_LIMIT = 48
@@ -357,24 +360,20 @@ class StrichartzScanResult:
     slope: float
 
 
-def _r_value_exact(state: FourierState, T: float) -> float:
-    return l6_time_integral_exact(state, T) ** (1.0 / 6.0) / state.l2_norm()
-
-
-def _r_value_quadrature(state: FourierState, T: float, rtol: float) -> float:
+def _r_value_quadrature(state: FourierState, T: float) -> float:
     """Time integral by composite Gauss-Legendre sized from the bandwidth.
 
     The integrand is a trig polynomial whose frequencies lie within
     3*(max q - min q)/lam^2, so a panel length keeping omega*L below the
-    GL-24 accuracy threshold makes the rule certain to rtol -- no adaptive
-    refinement, a single batched pass."""
+    GL-32 accuracy threshold makes the rule certain to QUAD_RTOL -- no
+    adaptive refinement, a single batched pass."""
     span = int(state.indices[-1] - state.indices[0])
     mx = 1 << (3 * span + 1).bit_length()
     q = (state.indices.astype(np.float64) / state.lam) ** 2
     omega_span = 3.0 * float(q.max() - q.min())
     n = 32
     # per-panel error ~ (omega*L/2n)^{2n}; solve for the admissible omega*L
-    wl = 2 * n * (max(rtol, 1e-12) / 10.0) ** (1.0 / (2 * n))
+    wl = 2 * n * (QUAD_RTOL / 10.0) ** (1.0 / (2 * n))
     panels = max(1, math.ceil(omega_span * T / wl))
     x, w = np.polynomial.legendre.leggauss(n)
     L = T / panels
@@ -385,6 +384,19 @@ def _r_value_quadrature(state: FourierState, T: float, rtol: float) -> float:
     return est ** (1.0 / 6.0) / state.l2_norm()
 
 
+def _scan_members(n: int, n_random: int, include_constant: bool, seed: int):
+    """The scan's (name, state) members at cutoff n: the constant profile
+    and seeded complex-Gaussian profiles on [-n, n], at lam=1 so that amps
+    coincide with uhat."""
+    js = np.arange(-n, n + 1, dtype=np.int64)
+    if include_constant:
+        yield "const", FourierState(1.0, js, np.ones(len(js), dtype=np.complex128))
+    for i in range(n_random):
+        g = stream(seed, 3, n, i)
+        z = g.standard_normal(len(js)) + 1j * g.standard_normal(len(js))
+        yield f"random-{i}", FourierState(1.0, js, z / math.sqrt(2.0))
+
+
 def strichartz_scan(
     alpha: float,
     n_list: Sequence[int],
@@ -392,15 +404,14 @@ def strichartz_scan(
     n_random: int = 4,
     include_constant: bool = True,
     seed: int = 0,
-    exact_max_modes: int = DEFAULT_SUPPORT_CAP,
-    quad_rtol: float = 1e-7,
 ) -> StrichartzScanResult:
     """Growth scan of R(f, N) = (∫₀^{N^{-alpha}}∫|e^{itΔ}P_{≤N}f|⁶)^{1/6}/‖f‖₂.
 
     Members per N: the constant profile (uhat = 1 on [-N, N]) and seeded
-    complex-Gaussian profiles.  Small supports use the exact sextuple route;
-    larger N switch to alias-free quadrature with trapezoid refinement.  The
-    slope is the least-squares log-log slope of the per-N maxima.
+    complex-Gaussian profiles.  Every member goes through alias-free spatial
+    quadrature and composite Gauss-Legendre panels sized from the bandwidth,
+    certain to QUAD_RTOL; `l6_time_integral_exact` is the oracle it is tested
+    against.  The slope is the least-squares log-log slope of the per-N maxima.
     """
     if not n_list:
         raise ValueError("n_list must be nonempty")
@@ -410,24 +421,10 @@ def strichartz_scan(
         if n < 1:
             raise ValueError("N must be positive")
         T = float(n) ** (-alpha)
-        members: list[tuple[str, np.ndarray]] = []
-        js = np.arange(-n, n + 1, dtype=np.int64)
-        if include_constant:
-            members.append(("const", np.ones(len(js), dtype=np.complex128)))
-        for i in range(n_random):
-            g = stream(seed, 3, n, i)
-            z = g.standard_normal(len(js)) + 1j * g.standard_normal(len(js))
-            members.append((f"random-{i}", z / math.sqrt(2.0)))
         best = 0.0
-        for name, uh in members:
-            state = FourierState(1.0, js, uh)  # lam=1: amps coincide with uhat
-            if state.n_modes <= exact_max_modes:
-                r = _r_value_exact(state, T)
-                method = "exact"
-            else:
-                r = _r_value_quadrature(state, T, quad_rtol)
-                method = "quadrature"
-            records.append(ScanRecord(int(n), name, r, method, seed))
+        for name, state in _scan_members(n, n_random, include_constant, seed):
+            r = _r_value_quadrature(state, T)
+            records.append(ScanRecord(int(n), name, r, "quadrature", seed))
             best = max(best, r)
         max_r[int(n)] = best
     ns = sorted(max_r)

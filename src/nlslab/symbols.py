@@ -684,7 +684,6 @@ class BoundScanRecord:
 @dataclass(frozen=True)
 class BoundScanReport:
     records: tuple[BoundScanRecord, ...]
-    decay_exponent: float
 
     def ratios(self, kind: str) -> dict[int, float]:
         return {r.N: r.max_ratio for r in self.records if r.kind == kind}
@@ -732,8 +731,7 @@ def bound_scan_symbols(
     Per cutoff: (a) max |sigma6tilde| over sampled nonresonant tuples divided
     by the pointwise envelope, (b) max |M6bar| over sampled resonant tuples
     against each applicable interaction-geometry envelope, (c) the operator
-    ratio |Lambda_6(sigma6tilde)| / ||I u||_{H^1}^6 on random states, whose
-    decay exponent in N is fitted across the scan.
+    ratio |Lambda_6(sigma6tilde)| / ||I u||_{H^1}^6 on random states.
 
     Classification inside the scan runs at SCAN_THRESHOLDS unless ``th`` is
     given; max ratios are only meaningful relative to the thresholds used.
@@ -745,7 +743,6 @@ def bound_scan_symbols(
     if th is None:
         th = SCAN_THRESHOLDS
     records: list[BoundScanRecord] = []
-    op_ratios: list[float] = []
     for N in N_list:
         pN = MultiplierParams(int(N), p.s)
         rng = stream(seed, 31, int(N))
@@ -827,7 +824,6 @@ def bound_scan_symbols(
             )
 
         best = 0.0
-        gaps = 0
         sig = symbol_fn("sigma6tilde", pN, sign=sign, th=th, on_gap="zero")
         for i in range(operator_states):
             srng = stream(seed, 37, int(N), i)
@@ -836,13 +832,6 @@ def bound_scan_symbols(
             u = FourierState.from_uhat(float(lam), dict(zip(map(int, jset), amps)))
             num = abs(lambda_n_evaluate(sig, [u] * 6))
             den = (2 * math.pi * apply_I(u, pN).sobolev_norm_sq(1.0)) ** 3
-            op_ratios.append(num / den)
             best = max(best, num / den)
-        records.append(BoundScanRecord("operator", int(N), best, operator_states, gaps))
-
-    op = np.array(op_ratios).reshape(len(N_list), -1).max(axis=1)
-    if len(N_list) > 1 and (op > 0).all():
-        slope = float(np.polyfit(np.log(np.asarray(N_list, dtype=float)), np.log(op), 1)[0])
-    else:
-        slope = float("nan")
-    return BoundScanReport(records=tuple(records), decay_exponent=-slope)
+        records.append(BoundScanRecord("operator", int(N), best, operator_states))
+    return BoundScanReport(records=tuple(records))

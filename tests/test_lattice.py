@@ -11,14 +11,11 @@ from nlslab.lattice import (
     HEX_FORM,
     SQUARE_FORM,
     AnnulusSpec,
-    LatticeBasis2,
     QuadraticForm2,
     annulus_width,
     count_points,
     count_points_naive,
     gauss_error,
-    gram_form,
-    hex_basis,
     random_centers,
     scan_hypothesis_h,
 )
@@ -74,19 +71,6 @@ def test_gauss_error_examples():
     eps = F(1, 10**6)
     err = gauss_error(HEX_FORM, AnnulusSpec.disk((0, 0), 1 - eps))
     assert err == pytest.approx(1 - 2 * math.pi / math.sqrt(3), abs=1e-4)
-
-
-def test_gram_form_examples():
-    assert gram_form(LatticeBasis2((1, 0), (0, 1))) == SQUARE_FORM
-    assert gram_form(hex_basis()) == HEX_FORM
-    import sympy as sp
-
-    scaled = LatticeBasis2((sp.sqrt(2), 0), (sp.sqrt(2) / 2, sp.sqrt(6) / 2))
-    assert gram_form(scaled) == QuadraticForm2(F(2), F(2), F(2))
-    with pytest.raises(ValueError):
-        gram_form(LatticeBasis2((1, 0), (sp.sqrt(2), 1)))  # irrational inner product
-    with pytest.raises(ValueError):
-        LatticeBasis2((1, 2), (2, 4))
 
 
 def test_oracle_equivalence_200_instances():

@@ -147,13 +147,6 @@ def test_verify_reports_wrong_offset():
     assert cell.rhs != 7 and not cell.ok
 
 
-def test_verify_keep_cells():
-    cal = calibrate_reduction(range(-2, 3), [2], 20)
-    rep = verify_reduction(cal, range(-2, 3), [2], 20, keep_cells=True, spot_checks=0)
-    assert len(rep.cells) == rep.total
-    assert all(c.ok for c in rep.cells)
-
-
 def test_verify_determinism():
     cal = calibrate_reduction(range(-3, 4), [1, 2], 40)
     r1 = verify_reduction(cal, range(-8, 9), [1, 2], 60, seed=11)

@@ -7,7 +7,9 @@ import pytest
 from nlslab.errors import CapExceededError
 from nlslab.fourier import FourierState
 from nlslab.strichartz import (
+    QUAD_RTOL,
     HSpectrum,
+    _scan_members,
     chain_inequality_ratio,
     dyadic_block_average,
     h_spectrum,
@@ -213,17 +215,21 @@ def test_scan_structure_and_determinism():
     assert [r.r_value for r in res1.records] == [r.r_value for r in res2.records]
     assert res1.max_r == res2.max_r
     assert {r.member for r in res1.records} == {"const", "random-0", "random-1"}
-    assert all(r.method == "exact" for r in res1.records)
+    assert all(r.method == "quadrature" for r in res1.records)
     with pytest.raises(ValueError):
         strichartz_scan(0.7, [])
 
 
 def test_scan_quadrature_route_matches_exact():
-    res_e = strichartz_scan(0.7, [16], n_random=1, seed=2)
-    res_q = strichartz_scan(0.7, [16], n_random=1, seed=2, exact_max_modes=0)
-    assert {r.method for r in res_q.records} == {"quadrature"}
-    for a, b in zip(res_e.records, res_q.records):
-        assert b.r_value == pytest.approx(a.r_value, rel=1e-6)
+    res = strichartz_scan(0.7, [4, 16, 32], n_random=1, seed=2)
+    members = {
+        (n, name): state for n in (4, 16, 32) for name, state in _scan_members(n, 1, True, 2)
+    }
+    assert len(res.records) == len(members) == 6
+    for r in res.records:
+        state = members[(r.n, r.member)]
+        exact = l6_time_integral_exact(state, r.n ** -0.7) ** (1 / 6) / state.l2_norm()
+        assert r.r_value == pytest.approx(exact, rel=QUAD_RTOL)
 
 
 def test_scan_small_slope():
