@@ -24,9 +24,7 @@ import numpy as np
 from .errors import IntegrationError
 from .fourier import FourierState
 from .symbols import (
-    DEFAULT_THRESHOLDS,
     MultiplierParams,
-    Thresholds,
     _FrozenLambda,
     _real_part,
     _symbol_batch,
@@ -65,7 +63,7 @@ class Trajectory:
     """Equally spaced samples of a truncated flow.
 
     ``uhats[i]`` holds the coefficients on ``support`` at ``times[i]``; the
-    stepper is classical RK4 in the interaction picture (order 4).
+    stepper is classical RK4 in the interaction picture.
     """
 
     lam: float
@@ -75,7 +73,6 @@ class Trajectory:
     dt: float
     sign: int
     mass_drift: float
-    order: int = 4
 
     @property
     def n_samples(self) -> int:
@@ -190,22 +187,20 @@ def hamiltonian_energy(state: FourierState, sign: int = +1) -> float:
     return 0.5 * homogeneous_h1_sq(state) + sign * l6_now(state) / 6.0
 
 
-def energy_drift(traj: Trajectory, *, relative: bool = True) -> float:
-    """Worst Hamiltonian-energy drift across the trajectory samples."""
+def energy_drift(traj: Trajectory) -> float:
+    """Worst Hamiltonian-energy drift across the trajectory samples, relative
+    to max(1, |E(0)|)."""
     vals = np.array(
         [hamiltonian_energy(traj.state(i), traj.sign) for i in range(traj.n_samples)]
     )
-    out = float(np.max(np.abs(vals - vals[0])))
-    if relative:
-        out /= max(1.0, abs(float(vals[0])))
-    return out
+    return float(np.max(np.abs(vals - vals[0]))) / max(1.0, abs(float(vals[0])))
 
 
 # ---------------------------------------------------------------------------
 # flow-identity ingredients
 
 
-def _m10_symbol(S: np.ndarray, p: MultiplierParams, sign: int, th: Thresholds):
+def _m10_symbol(S: np.ndarray, p: MultiplierParams, sign: int):
     """Ten-frequency commutator symbol with support-gated slot collapses."""
     mode_set = np.asarray(S, dtype=np.int64)
 
@@ -220,8 +215,8 @@ def _m10_symbol(S: np.ndarray, p: MultiplierParams, sign: int, th: Thresholds):
             cols = np.concatenate(
                 [js[ok, :j], K[ok, None], js[ok, j + 5 :]], axis=1
             )
-            vals = _symbol_batch("sigma6", cols, lam, p, sign=sign, th=th)
-            vals = vals + sign * _symbol_batch("sigma6tilde", cols, lam, p, th=th)
+            vals = _symbol_batch("sigma6", cols, lam, p, sign=sign)
+            vals = vals + sign * _symbol_batch("sigma6tilde", cols, lam, p)
             out[ok] += (1.0 if j % 2 == 0 else -1.0) * vals
         return out
 
@@ -260,12 +255,7 @@ class FtcReport:
     mass_drift: float
 
 
-def ftc_residual(
-    traj: Trajectory,
-    p: MultiplierParams,
-    *,
-    th: Thresholds = DEFAULT_THRESHOLDS,
-) -> FtcReport:
+def ftc_residual(traj: Trajectory, p: MultiplierParams) -> FtcReport:
     """Residual of the integrated flow identity for the modified energy.
 
     Computes E1(t) - E1(0) + mu*[Lambda6(sigma6tilde)] at the endpoints minus
@@ -281,9 +271,9 @@ def ftc_residual(
     e1_0 = energy_e1i(traj.state(0), p, sign=traj.sign)
     e1_t = energy_e1i(traj.state(traj.n_samples - 1), p, sign=traj.sign)
 
-    tilde = _FrozenLambda(symbol_fn("sigma6tilde", p, th=th), [S] * 6, lam)
-    bar = _FrozenLambda(symbol_fn("M6bar", p, th=th), [S] * 6, lam)
-    ten = _FrozenLambda(_m10_symbol(S, p, traj.sign, th), [S] * 10, lam)
+    tilde = _FrozenLambda(symbol_fn("sigma6tilde", p), [S] * 6, lam)
+    bar = _FrozenLambda(symbol_fn("M6bar", p), [S] * 6, lam)
+    ten = _FrozenLambda(_m10_symbol(S, p, traj.sign), [S] * 10, lam)
 
     def at(table, i: int):
         return table([traj.uhats[i]] * table.arity)

@@ -17,18 +17,8 @@ from typing import Sequence
 
 from .rng import stream
 
-Rat = Fraction
-
 CLOSED_CLOSED = "closed-closed"
 CLOSED_OPEN = "closed-open"
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary lift
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -41,9 +31,9 @@ class QuadraticForm2:
     c: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _rat(self.a))
-        object.__setattr__(self, "b", _rat(self.b))
-        object.__setattr__(self, "c", _rat(self.c))
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "c", Fraction(self.c))
         if not (self.a > 0 and 4 * self.a * self.c - self.b * self.b > 0):
             raise ValueError("form must be positive definite")
 
@@ -52,8 +42,7 @@ class QuadraticForm2:
         return 4 * self.a * self.c - self.b * self.b
 
     def __call__(self, x, y) -> Fraction:
-        x = _rat(x)
-        y = _rat(y)
+        x, y = Fraction(x), Fraction(y)
         return self.a * x * x + self.b * x * y + self.c * y * y
 
 
@@ -86,9 +75,9 @@ class AnnulusSpec:
 
     def __post_init__(self):
         cx, cy = self.center
-        object.__setattr__(self, "center", (_rat(cx), _rat(cy)))
-        object.__setattr__(self, "r1sq", _rat(self.r1sq))
-        object.__setattr__(self, "r2sq", _rat(self.r2sq))
+        object.__setattr__(self, "center", (Fraction(cx), Fraction(cy)))
+        object.__setattr__(self, "r1sq", Fraction(self.r1sq))
+        object.__setattr__(self, "r2sq", Fraction(self.r2sq))
         if self.r1sq < 0:
             raise ValueError("r1sq must be nonnegative")
         if self.r1sq > self.r2sq:

@@ -315,20 +315,16 @@ def _classify_batch(
     return codes, upsilon, can, cls, scls
 
 
-def in_upsilon6(t: FreqTuple, p: MultiplierParams, th: Thresholds = DEFAULT_THRESHOLDS) -> bool:
+def in_upsilon6(t: FreqTuple, p: MultiplierParams) -> bool:
     """Top-two magnitudes dyadically comparable and strictly above N."""
     if t.arity != 6:
         raise ValueError("arity-6 tuple expected")
     mags = sorted((abs(j) for j in t.js), reverse=True)
     c1, c2 = dyadic_class(Fraction(mags[0], t.lam)), dyadic_class(Fraction(mags[1], t.lam))
-    return th.sim(c1, c2) and mags[1] > p.N * t.lam
+    return DEFAULT_THRESHOLDS.sim(c1, c2) and mags[1] > p.N * t.lam
 
 
-def classify_resonance(
-    t: FreqTuple,
-    p: MultiplierParams,
-    th: Thresholds = DEFAULT_THRESHOLDS,
-) -> ResonanceVerdict:
+def classify_resonance(t: FreqTuple, p: MultiplierParams) -> ResonanceVerdict:
     """First matching resonance case for a Gamma_6 ∩ Upsilon_6 tuple.
 
     Off-hyperplane or off-Upsilon tuples are rejected; the witness records
@@ -338,8 +334,9 @@ def classify_resonance(
         raise ValueError("arity-6 tuple expected")
     if not t.on_gamma():
         raise ValueError("tuple off the zero-sum hyperplane")
-    if not in_upsilon6(t, p, th):
+    if not in_upsilon6(t, p):
         raise ValueError("tuple off Upsilon_6: top magnitudes not both large")
+    th = DEFAULT_THRESHOLDS
     codes, _, can, cls, scls = _classify_batch(
         np.array([t.js], dtype=np.int64), t.lam, p, th
     )
@@ -444,7 +441,6 @@ def evaluate_symbol(
     p: MultiplierParams,
     *,
     sign: int = +1,
-    th: Thresholds = DEFAULT_THRESHOLDS,
 ) -> float:
     """Pointwise real symbol value on one stored tuple."""
     if symbol_id not in SYMBOL_IDS:
@@ -455,7 +451,7 @@ def evaluate_symbol(
     if not t.on_gamma():
         raise ValueError("tuple off the zero-sum hyperplane")
     js = np.array([t.js], dtype=np.int64)
-    return float(_symbol_batch(symbol_id, js, t.lam, p, sign=sign, th=th)[0])
+    return float(_symbol_batch(symbol_id, js, t.lam, p, sign=sign)[0])
 
 
 def symbol_fn(
@@ -649,16 +645,11 @@ def support_tuples(support: Sequence[int], arity: int = 6) -> np.ndarray:
     return np.concatenate(rows) if rows else np.zeros((0, arity), dtype=np.int64)
 
 
-def support_gap_audit(
-    support: Sequence[int],
-    lam: int,
-    p: MultiplierParams,
-    th: Thresholds = DEFAULT_THRESHOLDS,
-) -> int:
+def support_gap_audit(support: Sequence[int], lam: int, p: MultiplierParams) -> int:
     """Count the six-factor interactions a mode set can produce, raising if
     any of them has a vanishing phase gap with nonzero nonresonant symbol."""
     js = support_tuples(support, 6)
-    _symbol_batch("sigma6tilde", js, lam, p, th=th, on_gap="error")
+    _symbol_batch("sigma6tilde", js, lam, p, on_gap="error")
     return len(js)
 
 
@@ -721,7 +712,6 @@ def bound_scan_symbols(
     seed: int = 0,
     *,
     sign: int = +1,
-    th: Thresholds | None = None,
     lam: int = 1,
     operator_modes: int = 9,
     operator_states: int = 8,
@@ -733,15 +723,14 @@ def bound_scan_symbols(
     against each applicable interaction-geometry envelope, (c) the operator
     ratio |Lambda_6(sigma6tilde)| / ||I u||_{H^1}^6 on random states.
 
-    Classification inside the scan runs at SCAN_THRESHOLDS unless ``th`` is
-    given; max ratios are only meaningful relative to the thresholds used.
+    Classification inside the scan runs at SCAN_THRESHOLDS; max ratios are
+    only meaningful relative to the thresholds used.
     Nonresonant tuples with a collapsed phase gap (c_window * |Omega| below
     the (N3*)^2 square-sum scale) have no dyadic envelope: integer near-
     cancellations push the quotient arbitrarily high there, so they are
     reported via collapsed_count / collapsed_max instead of max_ratio.
     """
-    if th is None:
-        th = SCAN_THRESHOLDS
+    th = SCAN_THRESHOLDS
     records: list[BoundScanRecord] = []
     for N in N_list:
         pN = MultiplierParams(int(N), p.s)

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,11 +34,6 @@ DEFAULT_MODE_CAP = 1 << 21
 
 #: "a is much smaller than b" is read as a <= b / LL_FACTOR.
 LL_FACTOR = 8
-
-
-def _frac(x) -> Fraction:
-    # Fraction(float) is the exact binary value, so floats stay exact too.
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,7 @@ class TrilinearSpec:
                 raise ValueError(f"{name} endpoints out of order: ({a}, {b})")
             object.__setattr__(self, name, (a, b))
         for name in ("n13", "n23", "c_tol", "j_radius"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.n13 < 0 or self.n23 < 0:
             raise ValueError("separation thresholds must be nonnegative")
         if self.c_tol <= 0:
@@ -93,7 +87,7 @@ class TrilinearSpec:
         """Build from real-frequency endpoints; each must land on the grid."""
         scaled = []
         for lo, hi in (i1, i2, i3):
-            a, b = _frac(lo) * lam, _frac(hi) * lam
+            a, b = Fraction(lo) * lam, Fraction(hi) * lam
             if a.denominator != 1 or b.denominator != 1:
                 raise ValueError(f"endpoint ({lo}, {hi}) not on the 1/{lam} grid")
             scaled.append((int(a), int(b)))
@@ -107,19 +101,19 @@ class GainReport:
     enhanced: bool
 
 
-def enhanced_gain_K(spec: TrilinearSpec, *, ll_factor: int = LL_FACTOR) -> GainReport:
+def enhanced_gain_K(spec: TrilinearSpec) -> GainReport:
     """Gain parameter M = |I1|(J + |I1|)/N23 and the resulting constant K.
 
     The enhanced branch is claimed only when M is much smaller than both |I2|
     and N23 *and* I1 is much shorter than I2 (comparable outer intervals fall
     back to the base constant K = |I2|).  "Much smaller" means a factor of
-    ``ll_factor``.
+    LL_FACTOR.
     """
     if spec.n23 == 0:
         raise ValueError("N23 must be positive to form the gain parameter")
     l1, l2, _ = spec.lengths
     m = l1 * (spec.j_radius + l1) / spec.n23
-    enhanced = m * ll_factor <= min(l2, spec.n23) and l1 * ll_factor <= l2
+    enhanced = m * LL_FACTOR <= min(l2, spec.n23) and l1 * LL_FACTOR <= l2
     k = max(m, l1) if enhanced else l2
     return GainReport(m_value=m, k_value=k, enhanced=enhanced)
 
@@ -128,17 +122,32 @@ def enhanced_gain_K(spec: TrilinearSpec, *, ll_factor: int = LL_FACTOR) -> GainR
 # exact admissible-set counting
 
 
-def _shell_ints(spec: TrilinearSpec, tau: Fraction) -> tuple[int, int, int]:
-    """Clear denominators in |tau*lam^2 - S| <= c_tol*lam^2 (S integer).
+def _check_box(spec: TrilinearSpec, box_cap: int) -> None:
+    (a1, b1), (a2, b2) = spec.i1, spec.i2
+    pairs = (b1 - a1 + 1) * (b2 - a2 + 1)
+    if pairs > box_cap:
+        raise CapExceededError(f"candidate grid {pairs} exceeds cap {box_cap}")
 
-    Returns (t_scaled, c_scaled, d) so the test reads |t_scaled - S*d| <=
-    c_scaled with every quantity an integer.
+
+def _shell_values(spec: TrilinearSpec, ln: int) -> np.ndarray:
+    """Sorted S = i1^2+i2^2+i3^2 over the admissible triples with scaled sum ln.
+
+    Admissible means i1 in I1, i2 in I2, i3 = ln - i1 - i2 in I3 and both
+    separation gaps met.  The arrays are int64 while every S fits with room
+    to spare and Python ints (dtype=object) beyond, so S is exact at any size.
     """
-    lam2 = spec.lam * spec.lam
-    t = tau * lam2
-    c = spec.c_tol * lam2
-    d = lcm(t.denominator, c.denominator)
-    return t.numerator * (d // t.denominator), c.numerator * (d // c.denominator), d
+    (a1, b1), (a2, b2), (a3, b3) = spec.i1, spec.i2, spec.i3
+    big = max(abs(a1), abs(b1), abs(a2), abs(b2), abs(ln) + abs(a1) + abs(b1) + abs(a2) + abs(b2))
+    dtype = np.int64 if 3 * big * big < 1 << 62 else object
+    i1 = np.arange(a1, b1 + 1, dtype=dtype)[:, None]
+    i2 = np.arange(a2, b2 + 1, dtype=dtype)[None, :]
+    i3 = ln - i1 - i2
+    ok = (i3 >= a3) & (i3 <= b3)
+    # |i - i3| is an integer, so |i - i3| >= N*lam iff it is >= ceil(N*lam)
+    ok &= np.abs(i1 - i3) >= math.ceil(spec.n13 * spec.lam)
+    ok &= np.abs(i2 - i3) >= math.ceil(spec.n23 * spec.lam)
+    S = i1 * i1 + i2 * i2 + i3 * i3
+    return np.sort(S[ok])
 
 
 def count_A_set(
@@ -154,54 +163,20 @@ def count_A_set(
     grid, since n3 = n - n1 - n2 must.  Raises CapExceededError when the
     I1 x I2 candidate grid exceeds ``box_cap`` pairs.
     """
-    n, tau = _frac(n), _frac(tau)
-    (a1, b1), (a2, b2), (a3, b3) = spec.i1, spec.i2, spec.i3
-    pairs = (b1 - a1 + 1) * (b2 - a2 + 1)
-    if pairs > box_cap:
-        raise CapExceededError(f"candidate grid {pairs} exceeds cap {box_cap}")
-    ln = n * spec.lam
+    _check_box(spec, box_cap)
+    ln = Fraction(n) * spec.lam
     if ln.denominator != 1:
         return 0
-    ln = int(ln)
-
-    i1 = np.arange(a1, b1 + 1, dtype=np.int64)[:, None]
-    i2 = np.arange(a2, b2 + 1, dtype=np.int64)[None, :]
-    i3 = ln - i1 - i2
-    ok = (i3 >= a3) & (i3 <= b3)
-
-    g13 = spec.n13 * spec.lam
-    ok &= g13.denominator * np.abs(i1 - i3) >= g13.numerator
-    g23 = spec.n23 * spec.lam
-    ok &= g23.denominator * np.abs(i2 - i3) >= g23.numerator
-
-    t_s, c_s, d = _shell_ints(spec, tau)
-    big = max(abs(a1), abs(b1), abs(a2), abs(b2), abs(ln) + abs(a1) + abs(b1) + abs(a2) + abs(b2))
-    if 3 * d * big * big >= 1 << 62:  # int64 would overflow; exact slow path
-        return _count_python(spec, ln, t_s, c_s, d, g13, g23)
-    S = i1 * i1 + i2 * i2 + i3 * i3
-    ok &= np.abs(t_s - S * d) <= c_s
-    return int(np.count_nonzero(ok))
-
-
-def _count_python(spec, ln, t_s, c_s, d, g13, g23) -> int:
-    (a1, b1), (a2, b2), (a3, b3) = spec.i1, spec.i2, spec.i3
-    total = 0
-    for x in range(a1, b1 + 1):
-        for y in range(a2, b2 + 1):
-            z = ln - x - y
-            if not a3 <= z <= b3:
-                continue
-            if g13.denominator * abs(x - z) < g13.numerator:
-                continue
-            if g23.denominator * abs(y - z) < g23.numerator:
-                continue
-            if abs(t_s - (x * x + y * y + z * z) * d) <= c_s:
-                total += 1
-    return total
+    # |lam^2 tau - S| <= lam^2 c_tol for integer S is an integer window
+    tau, lam2 = Fraction(tau), spec.lam * spec.lam
+    lo = math.ceil((tau - spec.c_tol) * lam2)
+    hi = math.floor((tau + spec.c_tol) * lam2)
+    s = _shell_values(spec, int(ln))
+    return int(np.searchsorted(s, hi, side="right") - np.searchsorted(s, lo, side="left"))
 
 
 # ---------------------------------------------------------------------------
-# suprema over (n, tau) grids
+# supremum over (n, tau)
 
 
 @dataclass(frozen=True)
@@ -214,106 +189,51 @@ class SupReport:
     gap_scale: Fraction  # max(N13, N23), the normalization gap
 
 
-def _valid_shell_values(spec: TrilinearSpec, ln: int) -> np.ndarray:
-    """Sorted S = i1^2+i2^2+i3^2 over triples meeting sum and gap constraints."""
-    (a1, b1), (a2, b2), (a3, b3) = spec.i1, spec.i2, spec.i3
-    i1 = np.arange(a1, b1 + 1, dtype=np.int64)[:, None]
-    i2 = np.arange(a2, b2 + 1, dtype=np.int64)[None, :]
-    i3 = ln - i1 - i2
-    ok = (i3 >= a3) & (i3 <= b3)
-    g13 = spec.n13 * spec.lam
-    ok &= g13.denominator * np.abs(i1 - i3) >= g13.numerator
-    g23 = spec.n23 * spec.lam
-    ok &= g23.denominator * np.abs(i2 - i3) >= g23.numerator
-    if not ok.any():
-        return np.empty(0, dtype=np.int64)
-    S = i1 * i1 + i2 * i2 + i3 * i3
-    return np.sort(S[ok])
+def _box_shell_min(spec: TrilinearSpec) -> int:
+    """Smallest i1^2+i2^2+i3^2 over the box I1 x I2 x I3."""
+    return sum(0 if a <= 0 <= b else min(a * a, b * b) for a, b in (spec.i1, spec.i2, spec.i3))
 
 
-def _box_shell_range(spec: TrilinearSpec) -> tuple[int, int]:
-    lo = hi = 0
-    for a, b in (spec.i1, spec.i2, spec.i3):
-        sq = sorted((a * a, b * b))
-        lo += 0 if a <= 0 <= b else sq[0]
-        hi += sq[1]
-    return lo, hi
+def sup_count_A(spec: TrilinearSpec, *, box_cap: int = DEFAULT_BOX_CAP) -> SupReport:
+    """Supremum of |A(n, tau)| over every integer n and every rational tau.
 
-
-def sup_count_A(
-    spec: TrilinearSpec,
-    *,
-    n_grid: Optional[Iterable] = None,
-    tau_grid: Optional[Iterable] = None,
-    box_cap: int = DEFAULT_BOX_CAP,
-    ll_factor: int = LL_FACTOR,
-) -> SupReport:
-    """Supremum of |A(n, tau)| over a grid of (n, tau) pairs.
-
-    Defaults: n runs over every integer whose scaled sum is reachable from
-    the box, and tau over all values with lam^2 * tau an integer in the
-    shell range of the box -- that grid resolves the shell test exactly, so
-    the default sup is the true maximum over rational tau.  The normalized
-    value divides by lam^2 K / max(N13, N23) + lam.
+    n runs over every integer whose scaled sum the box can reach.  For fixed
+    n the sup over tau is exact: a window |lam^2 tau - S| <= lam^2 c_tol
+    slides over the sorted integer shell values, and the densest one is
+    found by a two-pointer pass.  The witness tau has lam^2 tau an integer.
+    The normalized value divides by lam^2 K / max(N13, N23) + lam.
     """
-    gain = enhanced_gain_K(spec, ll_factor=ll_factor)
+    gain = enhanced_gain_K(spec)
     gap = max(spec.n13, spec.n23)
     if gap == 0:
         raise ValueError("normalization needs a positive separation threshold")
     denom = float(Fraction(spec.lam**2) * gain.k_value / gap + spec.lam)
-
-    (a1, b1), (a2, b2), _ = spec.i1, spec.i2, spec.i3
-    if (b1 - a1 + 1) * (b2 - a2 + 1) > box_cap:
-        raise CapExceededError("candidate grid exceeds cap")
+    _check_box(spec, box_cap)
 
     lam = spec.lam
-    if n_grid is None:
-        lo = spec.i1[0] + spec.i2[0] + spec.i3[0]
-        hi = spec.i1[1] + spec.i2[1] + spec.i3[1]
-        n_values: Sequence[Fraction] = [
-            Fraction(v) for v in range(-((-lo) // lam), hi // lam + 1)
-        ]
-    else:
-        n_values = [_frac(v) for v in n_grid]
-
+    lo = spec.i1[0] + spec.i2[0] + spec.i3[0]
+    hi = spec.i1[1] + spec.i2[1] + spec.i3[1]
+    # the densest width-2w window of integers is centered at an integer
+    w = math.floor(spec.c_tol * lam * lam)
+    s_lo = _box_shell_min(spec)
     best = 0
     arg: tuple[Optional[Fraction], Optional[Fraction]] = (None, None)
+    for n in range(-((-lo) // lam), hi // lam + 1):
+        s = _shell_values(spec, n * lam)
+        if len(s) == 0:
+            continue
+        first = np.searchsorted(s, s - 2 * w, side="left")
+        cnt = np.arange(1, len(s) + 1) - first
+        r = int(np.argmax(cnt))
+        if cnt[r] > best:
+            best = int(cnt[r])
+            arg = (Fraction(n), Fraction(max(int(s[r]) - w, s_lo), lam * lam))
 
-    if tau_grid is None:
-        # Exact fast path: for fixed n, a window |lam^2 tau - S| <= w slides
-        # over the sorted integer shell values; the densest width-2w window is
-        # always centered at an integer, so a two-pointer pass is exact.
-        c = spec.c_tol * lam * lam
-        w = c.numerator // c.denominator
-        s_lo, _ = _box_shell_range(spec)
-        for n in n_values:
-            ln = n * lam
-            if ln.denominator != 1:
-                continue
-            s = _valid_shell_values(spec, int(ln))
-            if len(s) == 0:
-                continue
-            first = np.searchsorted(s, s - 2 * w, side="left")
-            cnt = np.arange(1, len(s) + 1) - first
-            r = int(np.argmax(cnt))
-            if cnt[r] > best:
-                best = int(cnt[r])
-                t = max(int(s[r]) - w, s_lo)
-                arg = (n, Fraction(t, lam * lam))
-    else:
-        taus = [_frac(t) for t in tau_grid]
-        for n in n_values:
-            for tau in taus:
-                c = count_A_set(spec, n, tau, box_cap=box_cap)
-                if c > best:
-                    best, arg = c, (n, tau)
-
-    normalized = best / denom
     return SupReport(
         sup=best,
         arg_n=arg[0],
         arg_tau=arg[1],
-        normalized=normalized,
+        normalized=best / denom,
         k_value=gain.k_value,
         gap_scale=gap,
     )

@@ -20,7 +20,6 @@ from nlslab.galerkin import (
 )
 from nlslab.rng import stream
 from nlslab.symbols import (
-    DEFAULT_THRESHOLDS,
     MultiplierParams,
     _FrozenLambda,
     lambda_n_evaluate,
@@ -87,7 +86,6 @@ class TestIntegrator:
         assert traj.n_samples == 5  # even counts are bumped to odd
         assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(0.2)
         assert traj.uhats.shape == (5, 4)
-        assert traj.order == 4
         np.testing.assert_array_equal(traj.state(0).indices, ACCEPT.indices)
 
     def test_t_zero_single_sample(self):
@@ -141,7 +139,7 @@ class TestFrozenLambda:
         # its slots take two different states on one support
         w = seeded_state(4, 1.0, (-2, 1, 3))
         x = seeded_state(7, 1.0, (-2, 1, 3))
-        ten = _m10_symbol(w.indices, P2, +1, DEFAULT_THRESHOLDS)
+        ten = _m10_symbol(w.indices, P2, +1)
         want = brute_force_sum(ten, [w] * 5 + [x] * 5)
         assert abs(want) > 1e-3
         assert frozen_sum(ten, [w] * 5 + [x] * 5) == pytest.approx(want, rel=1e-12)
