@@ -8,9 +8,12 @@ step halving until the mass drift meets tolerance.
 
 The fundamental-theorem check integrates the two flow terms of the second
 modified energy and compares against the endpoint difference of the first.
-Each hyperplane functional along a trajectory is one symbols._FrozenLambda
-table built once for the fixed support, so each sample costs one
-gather-and-dot.
+Each hyperplane functional along a trajectory is one arity-6
+symbols._FrozenLambda table built once for the fixed support, so each sample
+costs one gather-and-dot.  The ten-linear term takes no arity-10 table: its
+five collapsed slots sum to the projected quintic Q, so Lambda10(m10; u) =
+sum_{j=0..5} (-1)^j Lambda6(sigma6 + mu*sigma6tilde; Q in slot j, u elsewhere),
+and supports above GAMMA_MODE_CAPS[6] modes are refused.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import CapExceededError, IntegrationError
 from .fourier import FourierState
 from .symbols import (
+    GAMMA_MODE_CAPS,
     MultiplierParams,
     _FrozenLambda,
     _real_part,
@@ -200,27 +204,29 @@ def energy_drift(traj: Trajectory) -> float:
 # flow-identity ingredients
 
 
-def _m10_symbol(S: np.ndarray, p: MultiplierParams, sign: int):
-    """Ten-frequency commutator symbol with support-gated slot collapses."""
-    mode_set = np.asarray(S, dtype=np.int64)
+def _tenlinear(S: np.ndarray, lam: float, p: MultiplierParams, sign: int):
+    """Per-sample ten-linear flow term by substitution of Q = _quintic(u)
+    into one arity-6 table, whose odd slots supply conj(Q): maps u on S to
+    the sum and its summed term magnitudes."""
 
-    def fn(js: np.ndarray, lam: int) -> np.ndarray:
-        out = np.zeros(len(js))
+    def symbol(js: np.ndarray, ilam: int) -> np.ndarray:
+        vals = _symbol_batch("sigma6", js, ilam, p, sign=sign)
+        return vals + sign * _symbol_batch("sigma6tilde", js, ilam, p)
+
+    table = _FrozenLambda(symbol, [S] * 6, lam)
+
+    def at(uhat: np.ndarray) -> tuple[complex, float]:
+        q = _quintic(uhat, S, lam)
+        z, mass = 0j, 0.0
         for j in range(6):
-            K = js[:, j : j + 5].sum(axis=1)
-            mode = K if j % 2 == 0 else -K
-            ok = np.isin(mode, mode_set)
-            if not ok.any():
-                continue
-            cols = np.concatenate(
-                [js[ok, :j], K[ok, None], js[ok, j + 5 :]], axis=1
-            )
-            vals = _symbol_batch("sigma6", cols, lam, p, sign=sign)
-            vals = vals + sign * _symbol_batch("sigma6tilde", cols, lam, p)
-            out[ok] += (1.0 if j % 2 == 0 else -1.0) * vals
-        return out
+            coeffs = [uhat] * 6
+            coeffs[j] = q
+            zj, mj = table(coeffs)
+            z += zj if j % 2 == 0 else -zj
+            mass += mj
+        return z, mass
 
-    return fn
+    return at
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -260,23 +266,30 @@ def ftc_residual(traj: Trajectory, p: MultiplierParams) -> FtcReport:
 
     Computes E1(t) - E1(0) + mu*[Lambda6(sigma6tilde)] at the endpoints minus
     the time integral of the two flow terms (resonant six-linear plus gated
-    ten-linear), Simpson-integrated on the trajectory's own samples.  A
-    trivial trajectory (T=0) yields an exact zero.
+    ten-linear), Simpson-integrated on the trajectory's own samples.  The
+    ten-linear term is sum_j (-1)^j Lambda6(sigma6 + mu*sigma6tilde) with the
+    projected quintic in slot j, so every table has arity 6 and a support
+    above GAMMA_MODE_CAPS[6] modes raises CapExceededError.  A trivial
+    trajectory (T=0) yields an exact zero.
     """
     if traj.sign == 0:
         raise ValueError("flow identity concerns the nonlinear flow; sign is 0")
     mu = float(traj.sign)
     S, lam = traj.support, traj.lam
+    if len(S) > GAMMA_MODE_CAPS[6]:
+        raise CapExceededError(
+            f"support with {len(S)} modes exceeds the arity-6 cap {GAMMA_MODE_CAPS[6]}"
+        )
 
     e1_0 = energy_e1i(traj.state(0), p, sign=traj.sign)
     e1_t = energy_e1i(traj.state(traj.n_samples - 1), p, sign=traj.sign)
 
     tilde = _FrozenLambda(symbol_fn("sigma6tilde", p), [S] * 6, lam)
     bar = _FrozenLambda(symbol_fn("M6bar", p), [S] * 6, lam)
-    ten = _FrozenLambda(_m10_symbol(S, p, traj.sign), [S] * 10, lam)
+    ten = _tenlinear(S, lam, p, traj.sign)
 
     def at(table, i: int):
-        return table([traj.uhats[i]] * table.arity)
+        return table([traj.uhats[i]] * 6)
 
     corr_0 = _real_part(*at(tilde, 0), "endpoint correction")
     corr_t = _real_part(*at(tilde, -1), "endpoint correction")
@@ -288,7 +301,7 @@ def ftc_residual(traj: Trajectory, p: MultiplierParams) -> FtcReport:
         g_ten = np.empty(traj.n_samples)
         for i in range(traj.n_samples):
             zb, mass_b = at(bar, i)
-            zt, mass_t = at(ten, i)
+            zt, mass_t = ten(traj.uhats[i])
             g_bar[i] = _real_part(1j * mu * zb, mass_b, "resonant flow term")
             g_ten[i] = _real_part(-1j * mu * zt, mass_t, "ten-linear flow term")
         h = float(traj.times[1] - traj.times[0])

@@ -32,7 +32,7 @@ from .strichartz import _spatial_l6
 _TAU = math.tau
 
 #: Mode-count caps for exact hyperplane sums, keyed by arity.
-GAMMA_MODE_CAPS = {6: 12, 10: 5}
+GAMMA_MODE_CAPS = {6: 12}
 
 #: Candidate tuples per enumeration chunk; bounds the transient index arrays.
 _CHUNK = 1 << 21
@@ -524,8 +524,7 @@ class _FrozenLambda:
 
     def __init__(self, symbol, supports: Sequence[np.ndarray], lam: float):
         ilam = _as_int_lam(lam)
-        self.arity = len(supports)
-        self.scale = _TAU / lam ** (self.arity - 1)
+        self.scale = _TAU / lam ** (len(supports) - 1)
         digit_parts, last_parts, val_parts = [], [], []
         for digits, last, js in _zero_sum_chunks(supports):
             digit_parts.append(digits)

@@ -133,6 +133,14 @@ class TestValidation:
         assert rc == 3
         assert "cap" in capsys.readouterr().err
 
+    def test_energy_track_cap_refusal(self, tmp_path, capsys):
+        # 13 modes exceed the arity-6 cap of the flow identity's tables
+        rc, _ = run_cli(
+            tmp_path, ["energy-track"], config={"support": list(range(0, 52, 4))}
+        )
+        assert rc == 3
+        assert "cap" in capsys.readouterr().err
+
     def test_bad_threads(self, tmp_path):
         rc, _ = run_cli(tmp_path, ["annulus-count", "--threads", "0"])
         assert rc == 2
@@ -185,10 +193,21 @@ class TestExperiments:
         assert max(masses) - min(masses) <= 1e-8
         assert doc["meta"]["relative"] <= 1e-9
 
-    @pytest.mark.parametrize("support", [[0, 4, 8], [0, 4, 12], [0, 4, 8, 12]])
+    @pytest.mark.parametrize(
+        "support",
+        [
+            [0, 4, 8],
+            [0, 4, 12],
+            [0, 4, 8, 12],
+            [-31, -30, -17, -7, -5, 19, 37, 38],
+            [-30, -26, -20, -19, -17, -12, -9, 0, 18, 20, 25, 32],
+        ],
+    )
     def test_energy_track_roundoff_tenlinear_term(self, tmp_path, support):
-        # the ten-linear flow term is zero up to roundoff on these supports,
-        # so its imaginary residue is only measurable against its terms
+        # the ten-linear flow term is zero up to roundoff on the first three
+        # supports, so its imaginary residue is only measurable against its
+        # terms; the gap-free 8- and 12-mode supports run through arity-6
+        # tables only, up to the mode cap
         rc, _ = run_cli(tmp_path, ["energy-track"], config={"support": support})
         assert rc == 0
 

@@ -11,8 +11,8 @@ from nlslab.fourier import FourierState, evolve_linear
 from nlslab.galerkin import (
     FtcReport,
     Trajectory,
-    _m10_symbol,
     _simpson,
+    _tenlinear,
     energy_drift,
     ftc_residual,
     hamiltonian_energy,
@@ -22,6 +22,7 @@ from nlslab.rng import stream
 from nlslab.symbols import (
     MultiplierParams,
     _FrozenLambda,
+    _symbol_batch,
     lambda_n_evaluate,
     symbol_fn,
 )
@@ -56,6 +57,28 @@ def brute_force_sum(symbol, states):
             weights.append(w)
     vals = symbol(np.array(rows, dtype=np.int64), int(lam))
     return math.tau / lam ** (len(states) - 1) * complex(np.dot(vals, weights))
+
+
+def m10_reference_symbol(S, p, sign):
+    """Ten-frequency commutator symbol with support-gated slot collapses:
+    slots j..j+4 contract to their sum K, kept when K's mode is in S."""
+    mode_set = np.asarray(S, dtype=np.int64)
+
+    def fn(js, lam):
+        out = np.zeros(len(js))
+        for j in range(6):
+            K = js[:, j : j + 5].sum(axis=1)
+            mode = K if j % 2 == 0 else -K
+            ok = np.isin(mode, mode_set)
+            if not ok.any():
+                continue
+            cols = np.concatenate([js[ok, :j], K[ok, None], js[ok, j + 5 :]], axis=1)
+            vals = _symbol_batch("sigma6", cols, lam, p, sign=sign)
+            vals = vals + sign * _symbol_batch("sigma6tilde", cols, lam, p)
+            out[ok] += (1.0 if j % 2 == 0 else -1.0) * vals
+        return out
+
+    return fn
 
 
 def frozen_sum(symbol, states):
@@ -135,14 +158,16 @@ class TestFrozenLambda:
             want = brute_force_sum(symbol_fn(sym, P4), [u] * arity)
             got = frozen_sum(symbol_fn(sym, P4), [u] * arity)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-        # the ten-linear form cancels to roundoff on one repeated state, so
-        # its slots take two different states on one support
-        w = seeded_state(4, 1.0, (-2, 1, 3))
-        x = seeded_state(7, 1.0, (-2, 1, 3))
-        ten = _m10_symbol(w.indices, P2, +1)
-        want = brute_force_sum(ten, [w] * 5 + [x] * 5)
-        assert abs(want) > 1e-3
-        assert frozen_sum(ten, [w] * 5 + [x] * 5) == pytest.approx(want, rel=1e-12)
+        # the ten-linear form by substitution of the projected quintic into
+        # one arity-6 table agrees with the 10-tuple sum of the collapsing
+        # symbol; it cancels to roundoff on many supports, not on these, and
+        # lam=2 checks the 2*pi/lam^9 scale
+        for lam, support in ((1.0, (0, 1, 3)), (2.0, (0, 2, 6))):
+            w = seeded_state(4, lam, support)
+            want = brute_force_sum(m10_reference_symbol(w.indices, P2, +1), [w] * 10)
+            assert abs(want) > 1e-3
+            got = _tenlinear(w.indices, w.lam, P2, +1)(w.uhat_array())[0]
+            assert got == pytest.approx(want, rel=1e-12)
         # mixed states: each slot reads its own support and coefficients
         v = seeded_state(6, 2.0, (-1, 2, 3, 6))
         for sym, arity in (("sigma2", 2), ("sigma6", 6)):
