@@ -1,10 +1,13 @@
 """Exact lattice point counting in shifted disks and thin annuli.
 
 Counts integer pairs (x, y) with r1sq <= Q(x - bx, y - by) <= r2sq for a
-positive definite binary quadratic form Q.  All boundary decisions are made
-in integer arithmetic after clearing denominators, so annuli of width much
-smaller than 1 are counted correctly.  The hexagonal (triangular) lattice is
-handled through its Gram form x^2 + xy + y^2.
+positive definite binary quadratic form Q.  Each row y contributes the
+integers in an interval whose endpoints are computed for all rows at once in
+float64; a row is counted from them only where a derived error bound
+certifies both floors, and every other row is decided in integer arithmetic
+after clearing denominators.  So annuli of width much smaller than 1 are
+counted exactly.  The hexagonal (triangular) lattice is handled through its
+Gram form x^2 + xy + y^2.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
+
+import numpy as np
 
 from .rng import stream
 
@@ -107,12 +112,81 @@ def _count_row_le(alpha: int, beta: int, gamma: int, t: int) -> int:
     return max(0, hi - lo + 1)
 
 
+#: Unit roundoff of float64 (eps in the `count_points` error bound).
+_U = 2.0**-53
+#: Integers below this are exact in float64.
+_EXACT = 2**53
+
+
+def _float_rows(
+    v: np.ndarray, p2: float, b: float, two_ad: float, four_a: float, disc4: float, tq: float
+) -> tuple[int, np.ndarray]:
+    """Counts of the rows the error bound derived in `count_points` decides,
+    and a mask of the rows it leaves to the exact count."""
+    xc = (p2 - b * v) / two_ad
+    a = four_a * tq
+    s = disc4 * (v * v)
+    rad = a - s
+    e_rad = 6 * _U * (a + s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(rad)
+        hw = root / two_ad
+        err = 16 * _U * (np.abs(xc) + hw) + e_rad / (root * two_ad)
+        up, down = xc + hw, xc - hw
+        hi = np.floor(up - err)
+        lo = np.ceil(down + err)
+        decided = (rad > e_rad) & (np.floor(up + err) == hi) & (np.ceil(down - err) == lo)
+    counts = np.maximum(hi[decided] - lo[decided] + 1, 0).astype(np.int64)
+    return int(counts.sum()), ~(decided | (rad < -e_rad))
+
+
 def count_points(form: QuadraticForm2, spec: AnnulusSpec) -> int:
     """Exact count of integer points (x, y) in the annulus.
 
-    Row-by-row: for each integer y the admissible x form an interval whose
-    endpoints are pinned down with integer square roots, so the cost is
-    O(linear extent) regardless of annulus width.
+    Denominators are cleared: the center is (px, py)/d and m*Q has integer
+    coefficients A, B, C, so Q(x - bx, y - by) <= R reads
+    g*(A u^2 + B u v + C v^2) <= t with u = d*x - px, v = d*y - py and
+    integers g, t (t already lowered by 1 for a strict bound).  On row y
+    the admissible x form the interval xc -+ hw with
+
+        xc = (2A*px - B*v) / (2A*d),  hw = sqrt(rad) / (2A*d),
+        rad = 4A*T - disc4*v^2,  T = t/g,  disc4 = 4AC - B^2,
+
+    and the row holds floor(xc + hw) - ceil(xc - hw) + 1 points.  All rows
+    are evaluated at once in float64 (`_float_rows`).
+
+    Error bound.  The integer inputs v, 2A*px, B*v, 2A*d, 4A and disc4 are
+    exact in float64 (checked below), T is one correctly rounded quotient,
+    and every further operation rounds once, with relative error at most
+    eps = 2^-53 (to first order; the factor-2 slack below absorbs the rest):
+
+    * xc is one subtraction and one division: |xc_f - xc| <= 2eps|xc|.
+    * With a = 4A*T_f and s = disc4*fl(v*v) as computed,
+      |rad_f - rad| <= eps|a - s| + 2eps(a + s) <= 3eps(a + s).  The code uses
+      e_rad = 6eps(a + s), twice that: rad_f < -e_rad proves rad < 0 (no
+      points), rad_f > e_rad proves rad > 0, and in between the row is open.
+    * |sqrt(rad_f) - sqrt(rad)| = |rad_f - rad| / (sqrt(rad_f) + sqrt(rad))
+      <= e_rad / (2 sqrt(rad_f)); the square root and the division by 2A*d
+      add 2eps*hw.
+    * xc -+ hw rounds once more, so each endpoint is within
+      3eps(|xc| + hw) + e_rad / (2 sqrt(rad_f) * 2A*d) of the true one.
+
+    err = 16eps(|xc_f| + hw_f) + e_rad / (sqrt(rad_f) * 2A*d) is at least
+    twice that, so the true endpoint lies within err/2 of the float one, and
+    the roundings in endpoint -+ err (at most eps(|endpoint| + err) <= err/2)
+    cannot carry it across an integer.  A row is counted in float64 when
+    floor of the upper endpoint (ceil of the lower) is the same at both ends
+    of its err interval.
+
+    Fallback.  The other rows are recounted exactly with integer square
+    roots (`_count_row_le`): rows with a lattice point on a boundary (an
+    endpoint on an integer, where the closed and open modes differ), rows
+    whose endpoint lies closer to an integer than float64 resolves (a bound
+    lowered by 1/g for a huge g), and rows at the top and bottom of the
+    ellipse whose radicand is within e_rad of 0.  When v, 2A*px, B*v, 2A*d,
+    4A or disc4 reaches 2^53, float64 no longer holds the inputs exactly and
+    every row is counted that way.  Either way the cost is O(linear extent)
+    regardless of annulus width.
     """
     bx, by = spec.center
     d = math.lcm(bx.denominator, by.denominator)
@@ -135,22 +209,31 @@ def count_points(form: QuadraticForm2, spec: AnnulusSpec) -> int:
 
     alpha = g * A * d * d
     disc4 = 4 * A * C - B * B  # > 0, scaled by m^2
-    vmax = isqrt(4 * A * t2 // (g * disc4)) + 1
+    vmax = isqrt(4 * A * t2 // (g * disc4)) + 1  # |v| <= vmax on every row
 
     y_lo = -((vmax - py) // d)  # ceil((py - vmax)/d)
     y_hi = (vmax + py) // d  # floor((py + vmax)/d)
-    total = 0
     gd = g * d
-    for y in range(y_lo, y_hi + 1):
+
+    def exact(y: int, t: int) -> int:
         v = d * y - py
         beta = gd * (B * v - 2 * A * px)
         gamma = g * ((A * px - B * v) * px + C * v * v)
-        n_out = _count_row_le(alpha, beta, gamma, t2)
-        if n_out == 0:
+        return _count_row_le(alpha, beta, gamma, t)
+
+    fits = max(vmax, abs(2 * A * px), abs(B) * vmax, 2 * A * d, 4 * A, disc4) < _EXACT
+    if fits:
+        v = (d * y_lo - py) + d * np.arange(y_hi - y_lo + 1, dtype=np.int64)
+        row_args = (v.astype(np.float64), *map(float, (2 * A * px, B, 2 * A * d, 4 * A, disc4)))
+    total = 0
+    for t, sign in ((t2, 1), (t1, -1)):
+        if t < 0:
             continue
-        if t1 >= 0:
-            n_out -= _count_row_le(alpha, beta, gamma, t1)
-        total += n_out
+        n, rows = 0, range(y_lo, y_hi + 1)
+        if fits:
+            n, undecided = _float_rows(*row_args, t / g)
+            rows = (y_lo + np.flatnonzero(undecided)).tolist()
+        total += sign * (n + sum(exact(y, t) for y in rows))
     return total
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -191,17 +192,33 @@ def _grid_mismatches(
     scale: Fraction,
     offset: tuple[Fraction, Fraction],
     plane_hists,
-) -> list[CellCheck]:
-    out: list[CellCheck] = []
+) -> tuple[int, Iterator[CellCheck]]:
+    """Largest |3D count - 2D count| over the grid, and the mismatching cells
+    in (K, n, ell) order.
+
+    Each K's plane histograms are stacked into one (len(ns), nbins) array and
+    compared with the hexagonal histogram in one pass.  Only reported cells
+    become objects: the iterator builds a `CellCheck` as each cell is taken,
+    so a caller that keeps the first few pays for those alone.
+    """
+    if not ns:
+        return 0, iter(())
+    worst = 0
+    blocks = []
     for K in k_set:
         hex_h = _hex_histogram(offset, scale, K, radius_cap)
-        for n in ns:
-            plane_h = plane_hists[(n, K)]
-            if plane_h.shape == hex_h.shape and np.array_equal(plane_h, hex_h):
-                continue
-            for ell in np.nonzero(plane_h != hex_h)[0]:
-                out.append(CellCheck(n, int(ell), K, int(plane_h[ell]), int(hex_h[ell])))
-    return out
+        plane_h = np.stack([plane_hists[(n, K)] for n in ns])
+        diff = plane_h - hex_h
+        if diff.any():
+            worst = max(worst, int(np.abs(diff).max()))
+            blocks.append((K, plane_h, hex_h, diff))
+
+    def cells() -> Iterator[CellCheck]:
+        for K, plane_h, hex_h, diff in blocks:
+            for i, ell in zip(*np.nonzero(diff)):
+                yield CellCheck(ns[i], int(ell), K, int(plane_h[i, ell]), int(hex_h[ell]))
+
+    return worst, cells()
 
 
 def calibrate_reduction(
@@ -228,13 +245,13 @@ def calibrate_reduction(
         for r in range(3):
             good = []
             for off in CANDIDATE_OFFSETS:
-                bad = _grid_mismatches(by_residue[r], k_set, radius_cap, scale, off, plane_hists)
-                if not bad:
+                worst, bad = _grid_mismatches(
+                    by_residue[r], k_set, radius_cap, scale, off, plane_hists
+                )
+                if not worst:
                     good.append(off)
-                else:
-                    worst = max(abs(c.lhs - c.rhs) for c in bad)
-                    if best_failure is None or worst < best_failure[0]:
-                        best_failure = (worst, bad[:20])
+                elif best_failure is None or worst < best_failure[0]:
+                    best_failure = (worst, list(islice(bad, 20)))
             per_res.append(good)
         if all(per_res[r] for r in range(3)):
             matches[scale] = per_res
@@ -288,7 +305,9 @@ def verify_reduction(
         by_offset.setdefault(calib.offsets[n % 3], []).append(n)
     failures: list[CellCheck] = []
     for off, group in by_offset.items():
-        failures += _grid_mismatches(group, k_set, radius_cap, calib.radius_scale, off, plane_hists)
+        failures.extend(
+            _grid_mismatches(group, k_set, radius_cap, calib.radius_scale, off, plane_hists)[1]
+        )
 
     rng = stream(seed, 101)
     done = 0

@@ -6,8 +6,9 @@ import pytest
 
 import nlslab.plane as plane
 from nlslab.errors import CalibrationError, CapExceededError
-from nlslab.lattice import CLOSED_OPEN, HEX_FORM, AnnulusSpec, count_points
+from nlslab.lattice import CLOSED_OPEN, HEX_FORM, AnnulusSpec, count_points, count_points_naive
 from nlslab.plane import (
+    CellCheck,
     PlaneSliceSpec,
     ReductionCalibration,
     calibrate_reduction,
@@ -125,11 +126,51 @@ def test_calibration_degenerate_single_cell():
     assert F(1, 2) in cal.scale_alternates
 
 
+def brute_cells(ns, k_set, radius_cap, scale, offset):
+    """Mismatching cells in (K, n, ell) order, one slice enumeration and one
+    naive 2D count per cell."""
+    out = []
+    for K in k_set:
+        for n in ns:
+            for ell in range(radius_cap // K):
+                lhs = count_plane_slice(PlaneSliceSpec(n, ell, K, radius_cap=radius_cap))
+                spec = AnnulusSpec(offset, scale * ell * K, scale * (ell + 1) * K, CLOSED_OPEN)
+                rhs = count_points_naive(HEX_FORM, spec)
+                if lhs != rhs:
+                    out.append(CellCheck(n, ell, K, lhs, rhs))
+    return out
+
+
 def test_calibration_failure_is_structured(monkeypatch):
     monkeypatch.setattr(plane, "CANDIDATE_SCALES", (F(3),))
     with pytest.raises(CalibrationError) as exc:
         calibrate_reduction(range(-3, 4), [1, 2], 36)
-    assert exc.value.failures  # worst cells are reported
+    # the candidate with the smallest worst miss (first one on ties) is
+    # reported with its first 20 bad cells
+    best = None
+    for r in range(3):
+        ns = [n for n in range(-3, 4) if n % 3 == r]
+        for off in plane.CANDIDATE_OFFSETS:
+            bad = brute_cells(ns, [1, 2], 36, F(3), off)
+            worst = max((abs(c.lhs - c.rhs) for c in bad), default=0)
+            if bad and (best is None or worst < best[0]):
+                best = (worst, bad[:20])
+    assert len(best[1]) == 20
+    assert exc.value.failures == best[1]
+    assert f"misses by {best[0]} (first bad cell: {best[1][0]})" in str(exc.value)
+
+
+def test_verify_failures_match_per_cell_check():
+    # wrong offsets for residues 0 and 2, right scale and residue-1 offset
+    bad = ReductionCalibration(F(1, 2), ((F(1, 2), F(1, 2)), DEEP_A, (F(0), F(0))))
+    ns, k_set, cap = range(-7, 8), [1, 2, 4, 8], 40
+    rep = verify_reduction(bad, ns, k_set, cap, spot_checks=0)
+    want = []
+    for off in dict.fromkeys(bad.offsets[n % 3] for n in ns):  # first-seen order
+        group = [n for n in ns if bad.offsets[n % 3] == off]
+        want += brute_cells(group, k_set, cap, bad.radius_scale, off)
+    assert rep.failures == want
+    assert {c.n % 3 for c in want} == {0, 2}
 
 
 def test_verify_passes_on_calibration_grid():
