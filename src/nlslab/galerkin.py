@@ -55,11 +55,8 @@ def _quintic(uhat: np.ndarray, S: np.ndarray, lam: float) -> np.ndarray:
     c, o = np.convolve(c, dense), o + jmin
     c, o = np.convolve(c, flip), o + off_f
     c, o = np.convolve(c, dense), o + jmin
-    idx = S - o
-    out = np.zeros(len(S), dtype=np.complex128)
-    ok = (idx >= 0) & (idx < len(c))
-    out[ok] = c[idx[ok]]
-    return out / lam**4
+    # S - o = S - jmin + 2L - 2 lies in [2L-2, 3L-3], inside len(c) = 5L-4
+    return c[S - o] / lam**4
 
 
 @dataclass(frozen=True)

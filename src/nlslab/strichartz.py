@@ -29,6 +29,10 @@ DEFAULT_SUPPORT_CAP = 160
 #: Relative accuracy to which the scan's Gauss-Legendre panels are sized.
 QUAD_RTOL = 1e-7
 
+#: Complex elements in one block of `_spatial_l6`, summed over members: 1 MB
+#: of complex128, within a core's L2 cache.
+_BLOCK_ELEMS = 1 << 16
+
 #: Per-sigma class counts up to this size are paired by direct outer product;
 #: larger groups go through one shared FFT autocorrelation pass.
 _DIRECT_PAIR_LIMIT = 48
@@ -166,26 +170,73 @@ def _paired_time_integral(
 # quadrature cross-check
 
 
-def _spatial_l6(state: FourierState, ts: np.ndarray, mx: int) -> np.ndarray:
-    """∫ |e^{itΔ}u|⁶ dx at each time, by exact equispaced quadrature.
+def l6_grid_size(span: int) -> int:
+    """Number of equispaced nodes on which `_spatial_l6` integrates |u|⁶:
+    the smallest 2·3·5-smooth integer mx ≥ 3·span + 1.
 
-    Batched: time nodes are processed in chunks of modulated-coefficient rows
-    with one FFT along the space axis per chunk.
+    Aliasing bound: if u's modes span `span` integers, |u|⁶ = u³·conj(u)³
+    carries frequencies in [−3·span, 3·span], and mx equispaced nodes sum
+    every frequency d with d ≢ 0 (mod mx) to exactly zero.  So the rule is
+    exact iff no nonzero frequency is a multiple of mx, i.e. mx ≥ 3·span + 1.
+    Among those sizes the smallest with prime factors 2, 3 and 5 keeps the
+    FFT on its fast radix passes: 6250 for span 2048, where the power of
+    two would be 8192 and 6144 aliases.  A single mode (span 0) needs 1.
     """
-    lam = state.lam
-    js = state.indices
-    uh = state.uhat_array()
-    k2 = (js / lam) ** 2
-    pos = js % mx  # collision-free when mx exceeds the support span
-    out = np.empty(len(ts), dtype=np.float64)
-    chunk = max(1, (1 << 22) // max(mx, 1))
-    for a in range(0, len(ts), chunk):
-        tc = ts[a : a + chunk]
-        rows = np.zeros((len(tc), mx), dtype=np.complex128)
-        rows[:, pos] = uh[None, :] * np.exp(-1j * np.outer(tc, k2))
-        u = np.fft.ifft(rows, axis=1) * (mx / lam)
-        out[a : a + chunk] = np.sum(np.abs(u) ** 6, axis=1) * (_TAU * lam / mx)
-    return out
+    need = 3 * span + 1
+    best = 1 << (need - 1).bit_length()  # a power of two always qualifies
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < need:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _spatial_l6(
+    js: np.ndarray, lam: float, uhats: np.ndarray, ts: np.ndarray, mx: int
+) -> np.ndarray:
+    """∫ |e^{itΔ}u|⁶ dx for every row u of ``uhats`` (members × modes, all on
+    the support ``js`` at scale ``lam``) at every time in ``ts``, by exact
+    equispaced quadrature on mx nodes; returns a members × times array.
+
+    mx must be alias-free, at least 3·span + 1 (see `l6_grid_size`, whose
+    5-smooth size the scan and `l6_now` use; `l6_norm_quadrature` passes its
+    own).  The time nodes stream through in blocks of about `_BLOCK_ELEMS`
+    complex elements across all members, so that a block's scatter, FFT and
+    |u|⁶ pass stay in cache.  Each block's phase table exp(-i t k²) is
+    computed once and shared by every member, and one zeroed buffer is
+    reused for every block.  A row's FFT and sum do not depend on the block
+    it sits in, so the output does not depend on the block size.
+    """
+    members = len(uhats)
+    # the phase depends on k² alone: modes ±j share one column of the table
+    k2, k2_col = np.unique((js / lam) ** 2, return_inverse=True)
+    # modes sit at js - js[0]: that multiplies u by the unimodular e^{-i js[0] x},
+    # which leaves |u| unchanged, and a contiguous support becomes one slice.
+    cols = js - js[0]
+    if len(cols) == cols[-1] + 1:
+        cols = slice(0, len(cols))
+    nb = max(1, min(len(ts), _BLOCK_ELEMS // (members * mx)))
+    buf = np.zeros((members, nb, mx), dtype=np.complex128)
+    work = np.empty_like(buf)
+    sums = np.empty((members, len(ts)), dtype=np.float64)
+    for a in range(0, len(ts), nb):
+        tc = ts[a : a + nb]
+        m = len(tc)
+        buf[:, :m, cols] = uhats[:, None, :] * np.exp(-1j * np.outer(tc, k2))[:, k2_col]
+        # the unnormalized inverse transform gives lam * u at each node
+        u = np.fft.ifft(buf[:, :m], axis=-1, norm="forward", out=work[:, :m])
+        s = np.square(u.real)
+        s += np.square(u.imag)
+        s6 = np.square(s)
+        s6 *= s
+        sums[:, a : a + m] = np.sum(s6, axis=-1)
+    return sums * (_TAU / (mx * lam**5))
 
 
 def l6_norm_quadrature(state: FourierState, T: float, mx: int, mt: int) -> float:
@@ -205,7 +256,7 @@ def l6_norm_quadrature(state: FourierState, T: float, mx: int, mt: int) -> float
     if mx < 3 * span + 1:
         raise ValueError(f"mx={mx} aliases |u|^6; need at least {3 * span + 1}")
     ts = np.linspace(0.0, T, mt)
-    vals = _spatial_l6(state, ts, mx)
+    vals = _spatial_l6(state.indices, state.lam, state.uhat_array()[None], ts, mx)[0]
     return float(np.trapezoid(vals, ts))
 
 
@@ -360,16 +411,21 @@ class StrichartzScanResult:
     slope: float
 
 
-def _r_value_quadrature(state: FourierState, T: float) -> float:
-    """Time integral by composite Gauss-Legendre sized from the bandwidth.
+def _r_value_quadrature(states: Sequence[FourierState], T: float) -> list[float]:
+    """R = (∫₀ᵀ∫|e^{itΔ}u|⁶)^{1/6} / ‖u‖₂ for states sharing one support and
+    one lam, by composite Gauss-Legendre sized from the bandwidth.
 
     The integrand is a trig polynomial whose frequencies lie within
     3*(max q - min q)/lam^2, so a panel length keeping omega*L below the
     GL-32 accuracy threshold makes the rule certain to QUAD_RTOL -- no
-    adaptive refinement, a single batched pass."""
-    span = int(state.indices[-1] - state.indices[0])
-    mx = 1 << (3 * span + 1).bit_length()
-    q = (state.indices.astype(np.float64) / state.lam) ** 2
+    adaptive refinement.  All states go through one `_spatial_l6` call on
+    the `l6_grid_size` grid, sharing its phase table."""
+    if not states:
+        return []
+    js, lam = states[0].indices, states[0].lam
+    if any(s.lam != lam or not np.array_equal(s.indices, js) for s in states):
+        raise ValueError("batched states must share one support and lam")
+    q = (js.astype(np.float64) / lam) ** 2
     omega_span = 3.0 * float(q.max() - q.min())
     n = 32
     # per-panel error ~ (omega*L/2n)^{2n}; solve for the admissible omega*L
@@ -379,9 +435,10 @@ def _r_value_quadrature(state: FourierState, T: float) -> float:
     L = T / panels
     offs = (np.arange(panels) + 0.5) * L
     ts = (offs[:, None] + (L / 2.0) * x[None, :]).ravel()
-    vals = _spatial_l6(state, ts, mx)
-    est = float(np.sum(vals.reshape(panels, n) * (L / 2.0) * w[None, :]))
-    return est ** (1.0 / 6.0) / state.l2_norm()
+    uhats = np.stack([s.uhat_array() for s in states])
+    vals = _spatial_l6(js, lam, uhats, ts, l6_grid_size(int(js[-1] - js[0])))
+    est = np.sum(vals.reshape(len(states), panels, n) * (L / 2.0) * w, axis=(1, 2))
+    return [float(e) ** (1.0 / 6.0) / s.l2_norm() for e, s in zip(est, states)]
 
 
 def _scan_members(n: int, n_random: int, include_constant: bool, seed: int):
@@ -408,10 +465,14 @@ def strichartz_scan(
     """Growth scan of R(f, N) = (∫₀^{N^{-alpha}}∫|e^{itΔ}P_{≤N}f|⁶)^{1/6}/‖f‖₂.
 
     Members per N: the constant profile (uhat = 1 on [-N, N]) and seeded
-    complex-Gaussian profiles.  Every member goes through alias-free spatial
-    quadrature and composite Gauss-Legendre panels sized from the bandwidth,
-    certain to QUAD_RTOL; `l6_time_integral_exact` is the oracle it is tested
-    against.  The slope is the least-squares log-log slope of the per-N maxima.
+    complex-Gaussian profiles.  They share the support, lam = 1, T and so the
+    Gauss-Legendre panels, sized from the bandwidth and certain to QUAD_RTOL,
+    and the spatial grid: the smallest 5-smooth size that is alias-free for
+    |u|⁶ (`l6_grid_size`).  So all members of one N go through one
+    `_spatial_l6` call, which streams the time nodes in cache-sized blocks
+    and computes each block's phase table once for every member.
+    `l6_time_integral_exact` is the oracle the route is tested against.  The
+    slope is the least-squares log-log slope of the per-N maxima.
     """
     if not n_list:
         raise ValueError("n_list must be nonempty")
@@ -421,12 +482,13 @@ def strichartz_scan(
         if n < 1:
             raise ValueError("N must be positive")
         T = float(n) ** (-alpha)
-        best = 0.0
-        for name, state in _scan_members(n, n_random, include_constant, seed):
-            r = _r_value_quadrature(state, T)
-            records.append(ScanRecord(int(n), name, r, "quadrature", seed))
-            best = max(best, r)
-        max_r[int(n)] = best
+        members = list(_scan_members(n, n_random, include_constant, seed))
+        rs = _r_value_quadrature([state for _, state in members], T)
+        records += [
+            ScanRecord(int(n), name, r, "quadrature", seed)
+            for (name, _), r in zip(members, rs)
+        ]
+        max_r[int(n)] = max(rs, default=0.0)
     ns = sorted(max_r)
     if len(ns) >= 2:
         slope = float(np.polyfit(np.log([float(n) for n in ns]), np.log([max_r[n] for n in ns]), 1)[0])

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CapExceededError, ResonanceGapError
 from .fourier import FourierState
 from .rng import stream
-from .strichartz import _spatial_l6
+from .strichartz import _spatial_l6, l6_grid_size
 
 _TAU = math.tau
 
@@ -601,9 +601,9 @@ def l6_now(state: FourierState) -> float:
     """Physical integral of |u|^6 by exact equispaced quadrature."""
     if state.n_modes == 0:
         return 0.0
-    span = int(state.indices[-1] - state.indices[0])
-    mx = 3 * span + 1
-    return float(_spatial_l6(state, np.array([0.0]), mx)[0])
+    js = state.indices
+    mx = l6_grid_size(int(js[-1] - js[0]))
+    return float(_spatial_l6(js, state.lam, state.uhat_array()[None], np.zeros(1), mx)[0, 0])
 
 
 def energy_e1i(

@@ -4,15 +4,19 @@ from itertools import product
 import numpy as np
 import pytest
 
+from nlslab import strichartz
 from nlslab.errors import CapExceededError
 from nlslab.fourier import FourierState
 from nlslab.strichartz import (
     QUAD_RTOL,
     HSpectrum,
+    _r_value_quadrature,
     _scan_members,
+    _spatial_l6,
     chain_inequality_ratio,
     dyadic_block_average,
     h_spectrum,
+    l6_grid_size,
     l6_norm_quadrature,
     l6_time_integral_exact,
     strichartz_scan,
@@ -235,3 +239,70 @@ def test_scan_quadrature_route_matches_exact():
 def test_scan_small_slope():
     res = strichartz_scan(0.7, [4, 8, 16], n_random=2, seed=5)
     assert abs(res.slope) < 0.05
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_l6_grid_size_is_the_smallest_alias_free_5_smooth_size():
+    assert l6_grid_size(0) == 1
+    assert l6_grid_size(512) == 1600
+    assert l6_grid_size(2048) == 6250  # 6144 = 3 * 2048 aliases
+    for span in range(0, 3000):
+        mx = l6_grid_size(span)
+        assert mx >= 3 * span + 1 and _is_5_smooth(mx)
+        if span < 400:
+            assert not any(_is_5_smooth(m) for m in range(3 * span + 1, mx))
+
+
+def _stack(states):
+    return states[0].indices, np.stack([s.uhat_array() for s in states])
+
+
+def test_spatial_l6_rows_do_not_depend_on_block_size(monkeypatch):
+    rng = np.random.default_rng(11)
+    ts = np.sort(rng.uniform(0.0, 0.05, 97))
+    dense = [st for _, st in _scan_members(32, 3, True, 4)]
+    sparse_js = np.array([-9, -4, 0, 3, 17, 40])
+    sparse = [FourierState(2.0, sparse_js, rng.standard_normal(6) + 1j * rng.standard_normal(6))]
+    for states in (dense, sparse):
+        js, uh = _stack(states)
+        lam = states[0].lam
+        mx = l6_grid_size(int(js[-1] - js[0]))
+        outs = []
+        for elems in (1, 1 << 11, 1 << 13, 1 << 16, 1 << 22):
+            monkeypatch.setattr(strichartz, "_BLOCK_ELEMS", elems)
+            outs.append(_spatial_l6(js, lam, uh, ts, mx))
+        assert outs[0].shape == (len(states), len(ts))
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+
+
+def test_spatial_l6_batch_matches_one_member_calls():
+    ts = np.linspace(0.0, 0.04, 61)
+    states = [st for _, st in _scan_members(64, 4, True, 9)]
+    js, uh = _stack(states)
+    mx = l6_grid_size(128)
+    batch = _spatial_l6(js, 1.0, uh, ts, mx)
+    for i in range(len(states)):
+        assert np.array_equal(batch[i], _spatial_l6(js, 1.0, uh[i : i + 1], ts, mx)[0])
+    rs = _r_value_quadrature(states, 64**-0.7)
+    assert rs == [_r_value_quadrature([st], 64**-0.7)[0] for st in states]
+    with pytest.raises(ValueError):
+        _r_value_quadrature([states[0], TWO_MODE], 0.1)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_r_value_on_5_smooth_grid_matches_power_of_two_grid(n, monkeypatch):
+    states = [st for _, st in _scan_members(n, 3, True, 17)]
+    T = float(n) ** -0.7
+    smooth = _r_value_quadrature(states, T)
+    monkeypatch.setattr(strichartz, "l6_grid_size", lambda span: 1 << (3 * span + 1).bit_length())
+    pow2 = _r_value_quadrature(states, T)
+    assert l6_grid_size(2 * n) != 1 << (6 * n + 1).bit_length()
+    for a, b in zip(smooth, pow2):
+        assert abs(a - b) <= 1e-14 * abs(b)
