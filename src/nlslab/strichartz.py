@@ -97,7 +97,6 @@ def l6_time_integral_exact(
     T: float,
     *,
     support_cap: int = DEFAULT_SUPPORT_CAP,
-    direct_pair_limit: int = _DIRECT_PAIR_LIMIT,
 ) -> float:
     """∫₀ᵀ ∫ |e^{itΔ}u|⁶ dx dt, evaluated exactly on the Fourier side.
 
@@ -116,7 +115,7 @@ def l6_time_integral_exact(
     if state.n_modes == 0 or T == 0:
         return 0.0
     sig, q, P = _triple_classes(state.indices, state.amps)
-    return _paired_time_integral(sig, q, P, state.lam, T, direct_pair_limit)
+    return _paired_time_integral(sig, q, P, state.lam, T)
 
 
 def _paired_time_integral(
@@ -125,7 +124,6 @@ def _paired_time_integral(
     P: np.ndarray,
     lam: float,
     T: float,
-    direct_pair_limit: int = _DIRECT_PAIR_LIMIT,
 ) -> float:
     """Pair (sigma, q) classes against their own conjugates under the time
     kernel and return (2 pi / lam^2) * sum, which must come out real."""
@@ -134,7 +132,7 @@ def _paired_time_integral(
     dense: list[tuple[np.ndarray, np.ndarray]] = []
     for a, b in _sigma_groups(sig):
         qs, Ps = q[a:b], P[a:b]
-        if b - a <= direct_pair_limit:
+        if b - a <= _DIRECT_PAIR_LIMIT:
             dq = qs[:, None] - qs[None, :]
             kern = _kernel(dq * inv_lam2, T)
             total += np.einsum("i,j,ij->", Ps, Ps.conj(), kern)
@@ -476,6 +474,10 @@ def strichartz_scan(
     """
     if not n_list:
         raise ValueError("n_list must be nonempty")
+    if n_random < 0:
+        raise ValueError("n_random must be nonnegative")
+    if n_random == 0 and not include_constant:
+        raise ValueError("the scan has no members: set n_random > 0 or include_constant")
     records: list[ScanRecord] = []
     max_r: dict[int, float] = {}
     for n in n_list:

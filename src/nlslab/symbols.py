@@ -48,7 +48,8 @@ ENERGY_FORMS_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Comparison constants: a ~ b within c_sim, a >> b beyond c_gg.
+    """Comparison constants: a ~ b within c_sim, a >> b beyond c_gg; ``sim``
+    and ``gg`` are the one definition of ~ and >>, elementwise on arrays.
 
     c_window scales the pair-collapse window of resonance case (i): the
     leading pair term |k1+k2||k1-k2| of the phase gap can cancel against the
@@ -60,11 +61,10 @@ class Thresholds:
     c_gg: int = 8
     c_window: int = 4
 
-    def sim(self, a, b) -> bool:
-        hi, lo = max(a, b), min(a, b)
-        return hi <= self.c_sim * lo
+    def sim(self, a, b):
+        return np.maximum(a, b) <= self.c_sim * np.minimum(a, b)
 
-    def gg(self, a, b) -> bool:
+    def gg(self, a, b):
         return a >= self.c_gg * b
 
 
@@ -256,11 +256,8 @@ def _classify_batch(
     smags = -np.sort(-mags, axis=1)
     scls = -np.sort(-cls, axis=1)
 
-    sim = lambda a, b: np.maximum(a, b) <= th.c_sim * np.minimum(a, b)
-    gg = lambda a, b: a >= th.c_gg * b
-
-    upsilon = sim(scls[:, 0], scls[:, 1]) & (smags[:, 1] > p.N * lam)
-    preamble = sim(cls[:, 0], cls[:, 1])
+    upsilon = th.sim(scls[:, 0], scls[:, 1]) & (smags[:, 1] > p.N * lam)
+    preamble = th.sim(cls[:, 0], cls[:, 1])
 
     k1, k2 = can[:, 0], can[:, 1]
     # (i): two giants nearly cancelling, everything else far below.  The
@@ -270,14 +267,14 @@ def _classify_batch(
     sum12 = np.abs(k1 + k2)
     diff12 = np.abs(k1 - k2)
     case_i = (
-        sim(scls[:, 0], scls[:, 1])
-        & sim(scls[:, 2], scls[:, 3])
-        & gg(scls[:, 0], scls[:, 2])
+        th.sim(scls[:, 0], scls[:, 1])
+        & th.sim(scls[:, 2], scls[:, 3])
+        & th.gg(scls[:, 0], scls[:, 2])
         & (k1 * k2 < 0)
         & (sum12 * diff12 <= th.c_window * lam**2 * scls[:, 2] ** 2)
     )
 
-    gate_ii = sim(scls[:, 0], scls[:, 3]) & gg(scls[:, 0], scls[:, 4])
+    gate_ii = th.sim(scls[:, 0], scls[:, 3]) & th.gg(scls[:, 0], scls[:, 4])
 
     def topfour(idx):
         sub = -np.sort(-cls[:, idx], axis=1)
@@ -297,14 +294,14 @@ def _classify_batch(
             opp = a * v < 0
             dcls = _class_batch(np.abs(a[:, None] - v[:, None]).ravel(), lam)
             pcls = _class_batch(np.abs(a[:, None] + v[:, None]).ravel(), lam)
-            ok &= ~same | sim(dcls, scls[:, 0])
-            ok &= ~opp | sim(pcls, scls[:, 0])
+            ok &= ~same | th.sim(dcls, scls[:, 0])
+            ok &= ~opp | th.sim(pcls, scls[:, 0])
         return ok & ~(allpos | allneg)
 
     case_iia = gate_ii & topfour([0, 1, 2, 3])
     case_iib = gate_ii & topfour([0, 1, 3, 5]) & sign_spread(0, (1, 3, 5))
     case_iic = gate_ii & topfour([0, 1, 2, 4]) & sign_spread(1, (0, 2, 4))
-    case_iii = sim(scls[:, 0], scls[:, 4])
+    case_iii = th.sim(scls[:, 0], scls[:, 4])
 
     codes = np.select(
         [~preamble, case_i, case_iia, case_iib, case_iic, case_iii],
@@ -321,7 +318,7 @@ def in_upsilon6(t: FreqTuple, p: MultiplierParams) -> bool:
         raise ValueError("arity-6 tuple expected")
     mags = sorted((abs(j) for j in t.js), reverse=True)
     c1, c2 = dyadic_class(Fraction(mags[0], t.lam)), dyadic_class(Fraction(mags[1], t.lam))
-    return DEFAULT_THRESHOLDS.sim(c1, c2) and mags[1] > p.N * t.lam
+    return bool(DEFAULT_THRESHOLDS.sim(c1, c2)) and mags[1] > p.N * t.lam
 
 
 def classify_resonance(t: FreqTuple, p: MultiplierParams) -> ResonanceVerdict:
@@ -662,6 +659,8 @@ class BoundScanRecord:
     N: int
     max_ratio: float
     count: int
+    # Nonresonant tuples with Omega = 0: sigma6tilde is taken as 0 on them,
+    # and they fall in the collapsed set below.
     gap_count: int = 0
     # Nonresonant tuples whose phase gap sits below the square-sum scale the
     # envelope divides against; near-integer cancellations make the quotient
@@ -722,8 +721,10 @@ def bound_scan_symbols(
     against each applicable interaction-geometry envelope, (c) the operator
     ratio |Lambda_6(sigma6tilde)| / ||I u||_{H^1}^6 on random states.
 
-    Classification inside the scan runs at SCAN_THRESHOLDS; max ratios are
-    only meaningful relative to the thresholds used.
+    Classification inside the scan runs at SCAN_THRESHOLDS, once per cutoff
+    outside the operator leg: (a) and (b) read sigma6tilde and M6bar off
+    those verdicts.  Max ratios are only meaningful relative to the
+    thresholds used.
     Nonresonant tuples with a collapsed phase gap (c_window * |Omega| below
     the (N3*)^2 square-sum scale) have no dyadic envelope: integer near-
     cancellations push the quotient arbitrarily high there, so they are
@@ -740,14 +741,14 @@ def bound_scan_symbols(
 
         nonres = upsilon & (codes == 0)
         om = _omega_int(js[nonres])
-        vals = _symbol_batch("sigma6tilde", js[nonres], lam, pN, th=th, on_gap="zero")
-        zero_gap = (om == 0) & (vals == 0.0)
-        sub_scls = scls[nonres]
-        sub_cls = cls[nonres]
+        # M6bar is 0 off the resonant set: sigma6tilde = M6 / Omega, 0 where Omega = 0
+        m6 = _symbol_batch("M6", js[nonres], lam, pN)
+        vals = np.divide(m6, om / float(lam * lam), out=np.zeros_like(m6), where=om != 0)
+        sub_cls, sub_scls = cls[nonres], scls[nonres]
         narrow = (
-            (np.maximum(sub_cls[:, 0], sub_cls[:, 1]) <= th.c_sim * np.minimum(sub_cls[:, 0], sub_cls[:, 1]))
-            & (sub_scls[:, 0] >= th.c_gg * sub_scls[:, 2])
-            & (np.maximum(sub_scls[:, 2], sub_scls[:, 3]) <= th.c_sim * np.minimum(sub_scls[:, 2], sub_scls[:, 3]))
+            th.sim(sub_cls[:, 0], sub_cls[:, 1])
+            & th.gg(sub_scls[:, 0], sub_scls[:, 2])
+            & th.sim(sub_scls[:, 2], sub_scls[:, 3])
         )
         envelope = np.where(
             narrow,
@@ -764,7 +765,7 @@ def bound_scan_symbols(
                 int(N),
                 float(clear.max()) if len(clear) else 0.0,
                 int(nonres.sum()),
-                int(zero_gap.sum()),
+                int((om == 0).sum()),
                 int(collapsed.sum()),
                 float(shadow.max()) if len(shadow) else 0.0,
             )
@@ -772,20 +773,17 @@ def bound_scan_symbols(
 
         res = upsilon & (codes > 0)
         jr, cr, sr = can[res], cls[res], scls[res]
-        barvals = np.abs(_symbol_batch("M6bar", js[res], lam, pN, th=th))
+        barvals = np.abs(_symbol_batch("M6_1", js[res], lam, pN))  # M6bar on this set
         sum12 = np.abs(jr[:, 0] + jr[:, 1])
         diff12 = np.abs(jr[:, 0] - jr[:, 1])
         sum34 = np.abs(jr[:, 2] + jr[:, 3])
-        n12 = _class_batch(sum12, lam)
+        n12, n34 = _class_batch(sum12, lam), _class_batch(sum34, lam)
         cases = {
-            "i": (
-                np.maximum(sr[:, 0], sr[:, 1]) <= th.c_sim * np.minimum(sr[:, 0], sr[:, 1]),
-                mN(sr[:, 0]) * sr[:, 0] * mN(sr[:, 2]) * sr[:, 2],
-            ),
+            "i": (th.sim(sr[:, 0], sr[:, 1]), mN(sr[:, 0]) * sr[:, 0] * mN(sr[:, 2]) * sr[:, 2]),
             "ii": (
-                (np.minimum(cr[:, 0], cr[:, 1]) >= sr[:, 0] // th.c_sim)
-                & (sr[:, 0] >= th.c_gg * sr[:, 2])
-                & (np.maximum(sr[:, 2], sr[:, 3]) <= th.c_sim * np.minimum(sr[:, 2], sr[:, 3]))
+                th.sim(np.minimum(cr[:, 0], cr[:, 1]), sr[:, 0])
+                & th.gg(sr[:, 0], sr[:, 2])
+                & th.sim(sr[:, 2], sr[:, 3])
                 & (sum12 * diff12 <= th.c_window * lam**2 * sr[:, 2] ** 2),
                 sr[:, 2].astype(np.float64) ** 2,
             ),
@@ -793,10 +791,9 @@ def bound_scan_symbols(
                 np.maximum(sum12, sum34) <= th.c_sim * lam * sr[:, 4],
                 mN(sr[:, 0]) * sr[:, 0] * mN(sr[:, 4]) * sr[:, 4],
             ),
+            # N1 >~ |k1 + k2| needs no test: canonical order has |k2| <= |k1|
             "iv": (
-                (cr[:, 0] * th.c_sim >= n12)
-                & (np.maximum(n12, _class_batch(sum34, lam)) <= th.c_sim * np.minimum(n12, _class_batch(sum34, lam)))
-                & (n12 >= th.c_gg * sr[:, 4]),
+                th.sim(n12, n34) & th.gg(n12, sr[:, 4]),
                 mN(sr[:, 0]) * sr[:, 0] * mN(n12) * n12,
             ),
         }

@@ -1,11 +1,14 @@
 """End-to-end tests for the experiment runner: schemas, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nlslab
 from nlslab.cli import EXPERIMENTS, main
 
 ANNULUS_CSV_GOLDEN = (
@@ -141,6 +144,17 @@ class TestValidation:
         assert rc == 3
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"n_random": -1}, {"n_random": 0, "include_constant": False}],
+        ids=["negative-n-random", "no-members"],
+    )
+    def test_strichartz_scan_without_members_rejected(self, tmp_path, capsys, config):
+        rc, out = run_cli(tmp_path, ["strichartz-scan"], config=dict(config, N_list=[4, 8]))
+        assert rc == 2
+        assert "n_random" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_threads(self, tmp_path):
         rc, _ = run_cli(tmp_path, ["annulus-count", "--threads", "0"])
         assert rc == 2
@@ -232,9 +246,13 @@ class TestExperiments:
         assert proc.stdout == ANNULUS_CSV_GOLDEN
 
     def test_module_entry_matches(self):
+        # the child imports the same package the suite does, installed or not
+        src = str(Path(nlslab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "nlslab.cli", "annulus-count", "--format", "csv"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0 and proc.stdout == ANNULUS_CSV_GOLDEN

@@ -73,11 +73,13 @@ def test_l6_lambda_scaling_invariance():
     assert scaled == pytest.approx(base, rel=1e-12)
 
 
-def test_l6_direct_and_dense_routes_agree():
+def test_l6_direct_and_dense_routes_agree(monkeypatch):
     rng = np.random.default_rng(1)
     st = FourierState(1.0, np.arange(-20, 21), rng.standard_normal(41) + 1j * rng.standard_normal(41))
-    a = l6_time_integral_exact(st, 0.2, direct_pair_limit=10**9)
-    b = l6_time_integral_exact(st, 0.2, direct_pair_limit=0)
+    monkeypatch.setattr(strichartz, "_DIRECT_PAIR_LIMIT", 10**9)
+    a = l6_time_integral_exact(st, 0.2)
+    monkeypatch.setattr(strichartz, "_DIRECT_PAIR_LIMIT", 0)
+    b = l6_time_integral_exact(st, 0.2)
     assert a == pytest.approx(b, rel=1e-11)
 
 

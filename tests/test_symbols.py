@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from nlslab import symbols
 from nlslab.errors import CapExceededError, ResonanceGapError
 from nlslab.fourier import FourierState
 from nlslab.rng import stream
@@ -36,6 +37,9 @@ from nlslab.symbols import (
     symbol_fn,
     _class_batch,
     _classify_batch,
+    _omega_int,
+    _sample_tuples,
+    _symbol_batch,
 )
 
 P16 = MultiplierParams(16, 0.5)
@@ -174,6 +178,17 @@ class TestClassifier:
         assert not in_upsilon6(FreqTuple((300, -128, -60, -50, -40, -22)), P16)
         with pytest.raises(ValueError):
             in_upsilon6(FreqTuple((1, -1, 1, -1)), P16)
+
+    @pytest.mark.parametrize("th", [DEFAULT_THRESHOLDS, SCAN_THRESHOLDS, Thresholds(3, 5, 4)])
+    def test_relations_on_arrays_match_scalar_calls(self, th):
+        rng = stream(22, 4)
+        a = np.concatenate([[0, 1, 2, 4, 8, 64], rng.integers(0, 300, size=200)]).astype(np.int64)
+        b = np.concatenate([[0, 4, 1, 1, 2, 8], rng.integers(0, 300, size=200)]).astype(np.int64)
+        for rel in (th.sim, th.gg):
+            got = rel(a, b)
+            assert got.dtype == bool
+            assert got.tolist() == [bool(rel(int(x), int(y))) for x, y in zip(a, b)]
+        assert type(in_upsilon6(FreqTuple((64, -64, 2, -1, -1, 0)), P16)) is bool
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -449,6 +464,42 @@ class TestBoundScan:
                 assert r.count > 1000
                 assert r.gap_count == 0
                 assert r.collapsed_count < r.count // 20
+
+    # (2, 16, 0) holds one nonresonant sample with Omega = 0
+    @pytest.mark.parametrize("lam,N,seed,gaps", [(2, 16, 0, 1), (1, 64, 3, 0), (3, 32, 1, 0)])
+    def test_symbols_read_off_the_scan_classification(self, lam, N, seed, gaps):
+        # the scan takes sigma6tilde = M6 / Omega (0 where Omega = 0) on its
+        # nonresonant rows and M6bar = M6_1 on its resonant rows; both must be
+        # what the symbol evaluator gives, bit for bit
+        pN = MultiplierParams(N, 0.5)
+        js = _sample_tuples(stream(seed, 31, N), 20_000, N, lam)
+        codes, upsilon, *_ = _classify_batch(js, lam, pN, SCAN_THRESHOLDS)
+        non = js[upsilon & (codes == 0)]
+        om = _omega_int(non)
+        m6 = _symbol_batch("M6", non, lam, pN)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expect = np.where(om == 0, 0.0, m6 / (om / float(lam * lam)))
+        got = _symbol_batch("sigma6tilde", non, lam, pN, th=SCAN_THRESHOLDS, on_gap="zero")
+        assert got.tobytes() == expect.tobytes()
+        res = js[upsilon & (codes > 0)]
+        bar = _symbol_batch("M6bar", res, lam, pN, th=SCAN_THRESHOLDS)
+        assert bar.tobytes() == _symbol_batch("M6_1", res, lam, pN).tobytes()
+        assert len(non) > 1000 and len(res) > 1000
+        assert (om == 0).sum() == gaps
+        rep = bound_scan_symbols(MultiplierParams(8, 0.5), 20_000, [N], seed, lam=lam, operator_states=0)
+        (rec,) = [r for r in rep.records if r.kind == "nonresonant"]
+        assert (rec.count, rec.gap_count) == (len(non), gaps)
+
+    def test_classifies_once_per_cutoff(self, monkeypatch):
+        calls = []
+
+        def counted(js, *args, **kwargs):
+            calls.append(len(js))
+            return _classify_batch(js, *args, **kwargs)
+
+        monkeypatch.setattr(symbols, "_classify_batch", counted)
+        bound_scan_symbols(MultiplierParams(16, 0.5), 3000, [16, 64, 256], seed=2, operator_states=0)
+        assert calls == [3000, 3000, 3000]
 
     def test_collapsed_tuples_are_separated(self):
         # the recorded collapsed max may exceed every envelope; the clean max
