@@ -32,7 +32,13 @@ from .errors import (
     ResonanceGapError,
 )
 from .fourier import FourierState
-from .galerkin import energy_drift, ftc_residual, hamiltonian_energy, integrate_galerkin
+from .galerkin import (
+    check_flux_cap,
+    energy_drift,
+    ftc_residual,
+    hamiltonian_energy,
+    integrate_galerkin,
+)
 from .lattice import (
     CLOSED_CLOSED,
     CLOSED_OPEN,
@@ -46,7 +52,7 @@ from .lattice import (
 from .plane import calibrate_reduction, verify_reduction
 from .rng import stream
 from .strichartz import h_spectrum, strichartz_scan, sup_dyadic_block_average
-from .symbols import MultiplierParams, bound_scan_symbols, energy_e1i
+from .symbols import MultiplierParams, bound_scan_symbols
 from .trilinear import DEFAULT_BOX_CAP, normalized_sup_trend, standard_geometries
 
 
@@ -247,7 +253,6 @@ def _run_symbol_bound_scan(q: dict, seed: int):
         q["samples"],
         q["N_list"],
         seed,
-        sign=q["sign"],
         lam=q["lam"],
         operator_modes=q["operator_modes"],
         operator_states=q["operator_states"],
@@ -273,6 +278,7 @@ def _run_energy_track(q: dict, seed: int):
     support = q["support"]
     if len(set(support)) != len(support):
         raise ConfigError("energy-track.support: modes must be distinct")
+    check_flux_cap(len(support))
     rng = stream(seed, 0)
     amps = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
     state = FourierState.from_uhat(q["lam"], dict(zip(support, amps)))
@@ -286,17 +292,15 @@ def _run_energy_track(q: dict, seed: int):
     )
     p = MultiplierParams(q["multiplier_N"], q["s"])
     rep = ftc_residual(traj, p)
-    rows = []
-    for i in range(traj.n_samples):
-        si = traj.state(i)
-        rows.append(
-            {
-                "t": float(traj.times[i]),
-                "mass": float(np.sum(np.abs(traj.uhats[i]) ** 2)),
-                "hamiltonian": hamiltonian_energy(si, q["sign"]),
-                "e1": energy_e1i(si, p, sign=q["sign"]),
-            }
-        )
+    rows = [
+        {
+            "t": float(traj.times[i]),
+            "mass": float(np.sum(np.abs(traj.uhats[i]) ** 2)),
+            "hamiltonian": hamiltonian_energy(traj.state(i), q["sign"]),
+            "e1": rep.e1[i],
+        }
+        for i in range(traj.n_samples)
+    ]
     return rows, {
         "residual": rep.residual,
         "relative": rep.relative,
@@ -413,7 +417,6 @@ EXPERIMENTS = {
                 Param("s", "float", 0.5),
                 Param("samples", "int", 20000),
                 Param("N_list", "ints", [64, 256, 1024], nonempty=True),
-                Param("sign", "int", 1),
                 Param("lam", "int", 1),
                 Param("operator_modes", "int", 9),
                 Param("operator_states", "int", 8),

@@ -8,12 +8,13 @@ step halving until the mass drift meets tolerance.
 
 The fundamental-theorem check integrates the two flow terms of the second
 modified energy and compares against the endpoint difference of the first.
-Each hyperplane functional along a trajectory is one arity-6
-symbols._FrozenLambda table built once for the fixed support, so each sample
-costs one gather-and-dot.  The ten-linear term takes no arity-10 table: its
-five collapsed slots sum to the projected quintic Q, so Lambda10(m10; u) =
-sum_{j=0..5} (-1)^j Lambda6(sigma6 + mu*sigma6tilde; Q in slot j, u elsewhere),
-and supports above GAMMA_MODE_CAPS[6] modes are refused.
+One arity-6 symbols._FrozenLambda table, built once for the fixed support,
+holds the three hyperplane symbols of the identity as rows of values, and E1
+is one symbols.energy_e1i call over all samples.  The ten-linear term takes
+no arity-10 table: its five collapsed slots sum to the projected quintic Q,
+so Lambda10(m10; u) = sum_{j=0..5} (-1)^j Lambda6(sigma6 + mu*sigma6tilde; Q
+in slot j, u elsewhere), and supports above GAMMA_MODE_CAPS[6] modes are
+refused by check_flux_cap before any flow is integrated.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .symbols import (
     energy_e1i,
     homogeneous_h1_sq,
     l6_now,
-    symbol_fn,
 )
 
 
@@ -201,29 +201,38 @@ def energy_drift(traj: Trajectory) -> float:
 # flow-identity ingredients
 
 
-def _tenlinear(S: np.ndarray, lam: float, p: MultiplierParams, sign: int):
-    """Per-sample ten-linear flow term by substitution of Q = _quintic(u)
-    into one arity-6 table, whose odd slots supply conj(Q): maps u on S to
-    the sum and its summed term magnitudes."""
+def check_flux_cap(n_modes: int) -> None:
+    """Refuse a support whose arity-6 tables would exceed the mode cap."""
+    if n_modes > GAMMA_MODE_CAPS[6]:
+        raise CapExceededError(
+            f"support with {n_modes} modes exceeds the arity-6 cap {GAMMA_MODE_CAPS[6]}"
+        )
+
+
+def _flux_table(S: np.ndarray, lam: float, p: MultiplierParams, sign: int) -> _FrozenLambda:
+    """Arity-6 table over S with rows of values sigma6tilde (endpoint
+    correction), M6bar (resonant term) and sigma6 + mu*sigma6tilde (ten-linear)."""
 
     def symbol(js: np.ndarray, ilam: int) -> np.ndarray:
-        vals = _symbol_batch("sigma6", js, ilam, p, sign=sign)
-        return vals + sign * _symbol_batch("sigma6tilde", js, ilam, p)
+        tilde = _symbol_batch("sigma6tilde", js, ilam, p)
+        flow = _symbol_batch("sigma6", js, ilam, p, sign=sign) + sign * tilde
+        return np.stack([tilde, _symbol_batch("M6bar", js, ilam, p), flow])
 
-    table = _FrozenLambda(symbol, [S] * 6, lam)
+    return _FrozenLambda(symbol, [S] * 6, lam)
 
-    def at(uhat: np.ndarray) -> tuple[complex, float]:
-        q = _quintic(uhat, S, lam)
-        z, mass = 0j, 0.0
-        for j in range(6):
-            coeffs = [uhat] * 6
-            coeffs[j] = q
-            zj, mj = table(coeffs)
-            z += zj if j % 2 == 0 else -zj
-            mass += mj
-        return z, mass
 
-    return at
+def _flux_sums(table: _FrozenLambda, uhat: np.ndarray, S: np.ndarray, lam: float):
+    """(sum, summed term magnitudes) of the three flux functionals at u on S;
+    the ten-linear one substitutes Q = _quintic(u) into each slot j of the
+    third row with sign (-1)^j, and odd slots supply conj(Q)."""
+    tilde, bar, _ = table([uhat] * 6)
+    q = _quintic(uhat, S, lam)
+    z, mass = 0j, 0.0
+    for j in range(6):
+        zj, mj = table([q if i == j else uhat for i in range(6)])[2]
+        z += zj if j % 2 == 0 else -zj
+        mass += mj
+    return tilde, bar, (z, mass)
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -244,12 +253,12 @@ def _simpson(values: np.ndarray, h: float) -> float:
 
 @dataclass(frozen=True)
 class FtcReport:
-    """Endpoint-vs-integrated bookkeeping for the second modified energy."""
+    """Endpoint-vs-integrated bookkeeping for the second modified energy, with
+    the first modified energy ``e1`` at each trajectory sample."""
 
     residual: float
     relative: float
-    e1_initial: float
-    e1_final: float
+    e1: tuple[float, ...]
     correction_initial: float
     correction_final: float
     resonant_integral: float
@@ -263,58 +272,37 @@ def ftc_residual(traj: Trajectory, p: MultiplierParams) -> FtcReport:
 
     Computes E1(t) - E1(0) + mu*[Lambda6(sigma6tilde)] at the endpoints minus
     the time integral of the two flow terms (resonant six-linear plus gated
-    ten-linear), Simpson-integrated on the trajectory's own samples.  The
-    ten-linear term is sum_j (-1)^j Lambda6(sigma6 + mu*sigma6tilde) with the
-    projected quintic in slot j, so every table has arity 6 and a support
-    above GAMMA_MODE_CAPS[6] modes raises CapExceededError.  A trivial
-    trajectory (T=0) yields an exact zero.
+    ten-linear), Simpson-integrated on the trajectory's own samples.  E1 at
+    every sample is one energy_e1i call and the three arity-6 functionals one
+    _flux_table; a support above GAMMA_MODE_CAPS[6] modes raises
+    CapExceededError.  A trivial trajectory (T=0) yields an exact zero.
     """
     if traj.sign == 0:
         raise ValueError("flow identity concerns the nonlinear flow; sign is 0")
+    check_flux_cap(len(traj.support))
     mu = float(traj.sign)
     S, lam = traj.support, traj.lam
-    if len(S) > GAMMA_MODE_CAPS[6]:
-        raise CapExceededError(
-            f"support with {len(S)} modes exceeds the arity-6 cap {GAMMA_MODE_CAPS[6]}"
-        )
 
-    e1_0 = energy_e1i(traj.state(0), p, sign=traj.sign)
-    e1_t = energy_e1i(traj.state(traj.n_samples - 1), p, sign=traj.sign)
+    e1 = energy_e1i([traj.state(i) for i in range(traj.n_samples)], p, sign=traj.sign)
+    table = _flux_table(S, lam, p, traj.sign)
+    sums = [_flux_sums(table, u, S, lam) for u in traj.uhats]
+    corr_0 = _real_part(*sums[0][0], "endpoint correction")
+    corr_t = _real_part(*sums[-1][0], "endpoint correction")
+    g_bar = [_real_part(1j * mu * zb, mb, "resonant flow term") for _, (zb, mb), _ in sums]
+    g_ten = [_real_part(-1j * mu * zt, mt, "ten-linear flow term") for *_, (zt, mt) in sums]
+    h = float(traj.times[1] - traj.times[0]) if traj.n_samples > 1 else 0.0
+    integral_bar = _simpson(np.array(g_bar), h)
+    integral_ten = _simpson(np.array(g_ten), h)
 
-    tilde = _FrozenLambda(symbol_fn("sigma6tilde", p), [S] * 6, lam)
-    bar = _FrozenLambda(symbol_fn("M6bar", p), [S] * 6, lam)
-    ten = _tenlinear(S, lam, p, traj.sign)
-
-    def at(table, i: int):
-        return table([traj.uhats[i]] * 6)
-
-    corr_0 = _real_part(*at(tilde, 0), "endpoint correction")
-    corr_t = _real_part(*at(tilde, -1), "endpoint correction")
-
-    if traj.n_samples == 1:
-        integral_bar = integral_ten = 0.0
-    else:
-        g_bar = np.empty(traj.n_samples)
-        g_ten = np.empty(traj.n_samples)
-        for i in range(traj.n_samples):
-            zb, mass_b = at(bar, i)
-            zt, mass_t = ten(traj.uhats[i])
-            g_bar[i] = _real_part(1j * mu * zb, mass_b, "resonant flow term")
-            g_ten[i] = _real_part(-1j * mu * zt, mass_t, "ten-linear flow term")
-        h = float(traj.times[1] - traj.times[0])
-        integral_bar = _simpson(g_bar, h)
-        integral_ten = _simpson(g_ten, h)
-
-    residual = (e1_t - e1_0) + mu * (corr_t - corr_0) - integral_bar - integral_ten
+    residual = (e1[-1] - e1[0]) + mu * (corr_t - corr_0) - integral_bar - integral_ten
     scale = max(
-        abs(e1_0), abs(e1_t), abs(corr_0), abs(corr_t),
+        abs(e1[0]), abs(e1[-1]), abs(corr_0), abs(corr_t),
         abs(integral_bar), abs(integral_ten), 1e-300,
     )
     return FtcReport(
         residual=float(residual),
         relative=float(abs(residual) / scale),
-        e1_initial=e1_0,
-        e1_final=e1_t,
+        e1=tuple(e1),
         correction_initial=corr_0,
         correction_final=corr_t,
         resonant_integral=integral_bar,

@@ -348,6 +348,8 @@ def scan_hypothesis_h(
         raise ValueError("alpha must lie in (0, 2)")
     if not n_list:
         raise ValueError("n_list must be nonempty")
+    if k_random < 0:
+        raise ValueError("k_random must be nonnegative")
     centers: list[tuple[str, tuple]] = []
     if include_adversarial:
         centers.extend(adversarial_centers())

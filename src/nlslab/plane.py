@@ -296,6 +296,8 @@ def verify_reduction(
     k_set = sorted(set(int(k) for k in k_set))
     if not ns or not k_set:
         raise ValueError("verification grid must be nonempty")
+    if spot_checks < 0:
+        raise ValueError("spot_checks must be nonnegative")
 
     plane_hists = {(n, K): _plane_histogram(n, K, radius_cap) for n in ns for K in k_set}
     total = sum(len(h) for h in plane_hists.values())

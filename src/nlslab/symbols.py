@@ -516,7 +516,8 @@ class _FrozenLambda:
     and the symbol values do not depend on the amplitudes, so evaluating at
     per-slot coefficient arrays is a gather-and-dot over the stored rows,
     scaled by 2*pi/lam^(n-1).  Even slots conjugate their factor.  The
-    supports must be nonempty.
+    supports must be nonempty.  A symbol may return stacked values, shape
+    (k, rows), each row summing bit for bit as its own single-symbol table.
     """
 
     def __init__(self, symbol, supports: Sequence[np.ndarray], lam: float):
@@ -529,16 +530,20 @@ class _FrozenLambda:
             val_parts.append(np.asarray(symbol(js, ilam), dtype=np.float64))
         self.digits = np.concatenate(digit_parts, axis=0)
         self.last = np.concatenate(last_parts)
-        self.values = np.concatenate(val_parts)
+        self.values = np.concatenate(val_parts, axis=-1)
 
-    def __call__(self, coeffs: Sequence[np.ndarray]) -> tuple[complex, float]:
+    def __call__(self, coeffs: Sequence[np.ndarray]):
         """The sum at per-slot coefficient arrays, and the sum of its terms'
-        magnitudes, which ``_real_part`` measures a residue against."""
+        magnitudes, which ``_real_part`` measures a residue against; per row if stacked."""
         terms = self.values.astype(np.complex128)
         for i, c in enumerate(coeffs[:-1]):
             terms *= (c if i % 2 == 0 else np.conj(c))[self.digits[:, i]]
         terms *= np.conj(coeffs[-1])[self.last]
-        return self.scale * complex(terms.sum()), self.scale * float(np.abs(terms).sum())
+        # per-row sums, not a matrix product, whose result depends on the BLAS
+        sums, masses = terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+        if terms.ndim == 1:
+            return self.scale * complex(sums), self.scale * float(masses)
+        return [(self.scale * complex(z), self.scale * float(m)) for z, m in zip(sums, masses)]
 
 
 def _real_part(z: complex, mass: float, what: str) -> float:
@@ -604,28 +609,41 @@ def l6_now(state: FourierState) -> float:
 
 
 def energy_e1i(
-    state: FourierState,
+    states: Sequence[FourierState],
     p: MultiplierParams,
     *,
     sign: int = +1,
-) -> float:
-    """First modified energy (1/2)||I u||_{H^1-dot}^2 ± (1/6)||I u||_{L^6}^6.
+) -> list[float]:
+    """First modified energy (1/2)||I u||_{H^1-dot}^2 ± (1/6)||I u||_{L^6}^6
+    of each state; the states share one support and lam.
 
     Evaluated both as norms of the smoothed state and, when the support is
     within the hyperplane cap, as Lambda_2 + Lambda_6 of the defining
-    symbols; disagreement is surfaced, the norm form is returned.
+    symbols, whose two tables are built once for all states; disagreement is
+    surfaced, the norm form is returned.
     """
-    v = apply_I(state, p)
-    norm_form = 0.5 * homogeneous_h1_sq(v) + sign * l6_now(v) / 6.0
-    if 0 < state.n_modes <= GAMMA_MODE_CAPS[6]:
-        sym = lambda_n_evaluate(symbol_fn("sigma2", p), [state, state])
-        sym += lambda_n_evaluate(symbol_fn("sigma6", p, sign=sign), [state] * 6)
-        scale = max(1.0, abs(norm_form), abs(sym))
-        if abs(sym - norm_form) > ENERGY_FORMS_RTOL * scale:
-            raise ArithmeticError(
-                f"energy forms disagree: symbol {sym!r} vs norm {norm_form!r}"
-            )
-    return norm_form
+    S, lam = states[0].indices, states[0].lam
+    if any(s.lam != lam or not np.array_equal(s.indices, S) for s in states):
+        raise ValueError("states must share one support and lam")
+    check = 0 < len(S) <= GAMMA_MODE_CAPS[6]
+    if check:
+        sigma2 = _FrozenLambda(symbol_fn("sigma2", p), [S] * 2, lam)
+        sigma6 = _FrozenLambda(symbol_fn("sigma6", p, sign=sign), [S] * 6, lam)
+    out = []
+    for state in states:
+        v = apply_I(state, p)
+        norm_form = 0.5 * homogeneous_h1_sq(v) + sign * l6_now(v) / 6.0
+        if check:
+            u = state.uhat_array()
+            sym = _real_part(*sigma2([u] * 2), "hyperplane sum")
+            sym += _real_part(*sigma6([u] * 6), "hyperplane sum")
+            scale = max(1.0, abs(norm_form), abs(sym))
+            if abs(sym - norm_form) > ENERGY_FORMS_RTOL * scale:
+                raise ArithmeticError(
+                    f"energy forms disagree: symbol {sym!r} vs norm {norm_form!r}"
+                )
+        out.append(norm_form)
+    return out
 
 
 def support_tuples(support: Sequence[int], arity: int = 6) -> np.ndarray:
@@ -709,7 +727,6 @@ def bound_scan_symbols(
     N_list: Sequence[int],
     seed: int = 0,
     *,
-    sign: int = +1,
     lam: int = 1,
     operator_modes: int = 9,
     operator_states: int = 8,
@@ -730,6 +747,10 @@ def bound_scan_symbols(
     cancellations push the quotient arbitrarily high there, so they are
     reported via collapsed_count / collapsed_max instead of max_ratio.
     """
+    if operator_states < 0:
+        raise ValueError("operator_states must be nonnegative")
+    if operator_modes < 1:
+        raise ValueError("operator_modes must be positive")
     th = SCAN_THRESHOLDS
     records: list[BoundScanRecord] = []
     for N in N_list:
@@ -809,7 +830,7 @@ def bound_scan_symbols(
             )
 
         best = 0.0
-        sig = symbol_fn("sigma6tilde", pN, sign=sign, th=th, on_gap="zero")
+        sig = symbol_fn("sigma6tilde", pN, th=th, on_gap="zero")
         for i in range(operator_states):
             srng = stream(seed, 37, int(N), i)
             jset = np.sort(srng.choice(np.arange(-3 * N, 3 * N + 1), size=operator_modes, replace=False))

@@ -136,13 +136,42 @@ class TestValidation:
         assert rc == 3
         assert "cap" in capsys.readouterr().err
 
-    def test_energy_track_cap_refusal(self, tmp_path, capsys):
-        # 13 modes exceed the arity-6 cap of the flow identity's tables
-        rc, _ = run_cli(
-            tmp_path, ["energy-track"], config={"support": list(range(0, 52, 4))}
-        )
+    def test_energy_track_cap_refusal(self, tmp_path, capsys, monkeypatch):
+        # 13 modes exceed the arity-6 cap of the flow identity's tables; the
+        # refusal comes before any flow is integrated
+        from nlslab import cli
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("flow integrated for an over-cap support")
+
+        monkeypatch.setattr(cli, "integrate_galerkin", no_flow)
+        config = {"support": list(range(0, 52, 4)), "T": 1.0, "dt": 1e-4}
+        rc, out = run_cli(tmp_path, ["energy-track"], config=config)
         assert rc == 3
         assert "cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_symbol_bound_scan_has_no_sign(self, tmp_path, capsys):
+        rc, _ = run_cli(tmp_path, ["symbol-bound-scan"], config={"sign": -1})
+        assert rc == 2
+        assert "symbol-bound-scan.sign: unknown parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment,config,name",
+        [
+            ("symbol-bound-scan", {"operator_states": -5}, "operator_states"),
+            ("symbol-bound-scan", {"operator_modes": 0}, "operator_modes"),
+            ("hypothesis-scan", {"k_random": -3}, "k_random"),
+            ("reduction-verify", {"spot_checks": -4}, "spot_checks"),
+        ],
+        ids=["operator-states", "operator-modes", "k-random", "spot-checks"],
+    )
+    def test_negative_counts_rejected(self, tmp_path, capsys, experiment, config, name):
+        rc, out = run_cli(tmp_path, [experiment], config=config)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "config",

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from nlslab.errors import IntegrationError
+from nlslab.errors import CapExceededError, IntegrationError
 from nlslab.fourier import FourierState, evolve_linear
 from nlslab.galerkin import (
     FtcReport,
     Trajectory,
+    _flux_sums,
+    _flux_table,
     _simpson,
-    _tenlinear,
     energy_drift,
     ftc_residual,
     hamiltonian_energy,
@@ -23,6 +24,7 @@ from nlslab.symbols import (
     MultiplierParams,
     _FrozenLambda,
     _symbol_batch,
+    energy_e1i,
     lambda_n_evaluate,
     symbol_fn,
 )
@@ -159,14 +161,15 @@ class TestFrozenLambda:
             got = frozen_sum(symbol_fn(sym, P4), [u] * arity)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         # the ten-linear form by substitution of the projected quintic into
-        # one arity-6 table agrees with the 10-tuple sum of the collapsing
-        # symbol; it cancels to roundoff on many supports, not on these, and
-        # lam=2 checks the 2*pi/lam^9 scale
+        # the flow-identity table agrees with the 10-tuple sum of the
+        # collapsing symbol; it cancels to roundoff on many supports, not on
+        # these, and lam=2 checks the 2*pi/lam^9 scale
         for lam, support in ((1.0, (0, 1, 3)), (2.0, (0, 2, 6))):
             w = seeded_state(4, lam, support)
             want = brute_force_sum(m10_reference_symbol(w.indices, P2, +1), [w] * 10)
             assert abs(want) > 1e-3
-            got = _tenlinear(w.indices, w.lam, P2, +1)(w.uhat_array())[0]
+            table = _flux_table(w.indices, w.lam, P2, +1)
+            got = _flux_sums(table, w.uhat_array(), w.indices, w.lam)[2][0]
             assert got == pytest.approx(want, rel=1e-12)
         # mixed states: each slot reads its own support and coefficients
         v = seeded_state(6, 2.0, (-1, 2, 3, 6))
@@ -177,6 +180,27 @@ class TestFrozenLambda:
             assert got == pytest.approx(want, rel=1e-12)
         want = brute_force_sum(symbol_fn("sigma2", P4), [u, u]).real
         assert lambda_n_evaluate(symbol_fn("sigma2", P4), [u, u]) == pytest.approx(want, rel=1e-12)
+
+    def test_stacked_rows_match_single_symbol_tables_bitwise(self):
+        # each row of a multi-symbol table sums and weighs exactly as its own
+        # single-symbol table, at equal and at substituted coefficients
+        u = seeded_state(7, 2.0, (-5, -2, 0, 3, 4, 9))
+        ids = ("sigma6tilde", "M6bar", "sigma6")
+
+        def stacked(js, lam):
+            return np.stack([symbol_fn(s, P4)(js, lam) for s in ids])
+
+        S = u.indices
+        multi = _FrozenLambda(stacked, [S] * 6, u.lam)
+        singles = [_FrozenLambda(symbol_fn(s, P4), [S] * 6, u.lam) for s in ids]
+        assert multi.values.shape == (3, len(singles[0].values))
+        c = u.uhat_array()
+        for coeffs in ([c] * 6, [c, c, c[::-1], c, c, c]):
+            got = multi(coeffs)
+            want = [t(coeffs) for t in singles]
+            for (zg, mg), (zw, mw) in zip(got, want):
+                assert np.complex128(zg).tobytes() == np.complex128(zw).tobytes()
+                assert np.float64(mg).tobytes() == np.float64(mw).tobytes()
 
     def test_single_mode_diagonal_pair(self):
         # only the diagonal (5, -5) survives: sigma2 = 12.5 * m(5)^2 = 10 at
@@ -248,6 +272,38 @@ class TestFlowIdentity:
         traj = integrate_galerkin(ACTIVE, 0.05, dt=0.05 / 32, sign=-1, n_samples=33)
         rep = ftc_residual(traj, P2)
         assert rep.relative <= 1e-3
+
+    def test_table_builds_once_per_run(self, monkeypatch):
+        # one energy-track run builds E1's sigma2 and sigma6 tables and the
+        # flow-identity table, whatever its sample count
+        from nlslab import cli
+
+        arities = []
+        build = _FrozenLambda.__init__
+
+        def counting(self, symbol, supports, lam):
+            arities.append(len(supports))
+            build(self, symbol, supports, lam)
+
+        monkeypatch.setattr(_FrozenLambda, "__init__", counting)
+        for n_samples in (5, 11):
+            arities.clear()
+            doc = cli.run_experiment("energy-track", {"n_samples": n_samples}, 0, 1)
+            assert len(doc["rows"]) == n_samples
+            assert sorted(arities) == [2, 6, 6]
+
+    def test_e1_per_sample(self):
+        traj = integrate_galerkin(ACCEPT, 0.1, dt=0.025, sign=+1, n_samples=5)
+        rep = ftc_residual(traj, P4)
+        assert len(rep.e1) == traj.n_samples
+        for i in range(traj.n_samples):
+            assert rep.e1[i] == energy_e1i([traj.state(i)], P4, sign=+1)[0]
+
+    def test_over_cap_support_refused(self):
+        u = seeded_state(8, 1.0, tuple(range(13)))
+        traj = integrate_galerkin(u, 0.0, sign=+1)
+        with pytest.raises(CapExceededError):
+            ftc_residual(traj, P2)
 
     def test_free_flow_rejected(self):
         traj = integrate_galerkin(ACTIVE, 0.1, dt=0.01, sign=0, n_samples=5)

@@ -404,7 +404,21 @@ class TestLambdaForms:
             v = apply_I(u, P4)
             manual = 0.5 * homogeneous_h1_sq(v) + sign * l6_now(v) / 6.0
             # the call cross-checks the symbol form internally
-            assert energy_e1i(u, P4, sign=sign) == pytest.approx(manual, rel=1e-12)
+            assert energy_e1i([u], P4, sign=sign)[0] == pytest.approx(manual, rel=1e-12)
+
+    def test_batched_energy_matches_per_state_bitwise(self):
+        rng = stream(24, 5)
+        support = [-8, -3, 0, 5, 9]
+        states = [rand_state(rng, 2.0, support) for _ in range(4)]
+        for sign in (+1, -1):
+            batched = energy_e1i(states, P4, sign=sign)
+            single = [energy_e1i([u], P4, sign=sign)[0] for u in states]
+            assert np.array(batched).tobytes() == np.array(single).tobytes()
+        other_support = rand_state(rng, 2.0, [-8, -3, 0, 5, 10])
+        other_lam = FourierState(4.0, states[0].indices, states[0].amps)
+        for odd in (other_support, other_lam):
+            with pytest.raises(ValueError):
+                energy_e1i([states[0], odd], P4)
 
 
 class TestSupportAudit:
