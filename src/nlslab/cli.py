@@ -309,6 +309,8 @@ def _run_energy_track(q: dict, seed: int):
         "mass_drift": rep.mass_drift,
         "energy_drift": energy_drift(traj),
         "dt_effective": traj.dt,
+        "rk4_steps": traj.rk4_steps,
+        "halvings": traj.halvings,
     }
 
 

@@ -1,10 +1,16 @@
 """Truncated quintic Schrodinger flow and energy bookkeeping along it.
 
 The flow is the Hamiltonian restriction of i u_t + u_xx = sign*|u|^4 u to a
-fixed finite mode set: the quintic term is computed exactly by iterated
-convolution and projected back onto the support.  Time stepping is RK4 in the
-interaction picture (the linear phase is applied exactly), with automatic
-step halving until the mass drift meets tolerance.
+fixed finite mode set: the quintic term is computed exactly by convolution
+and projected back onto the support.  The coefficients sit on the compressed
+grid of the support, positions (S - S[0])/gcd(S - S[0]), which holds every
+signed 5-sum of modes that lands in S; there |u|^4 u takes three
+correlations, |u|^2 as the autocorrelation of the coefficients, |u|^4 as the
+autocorrelation of that and a final convolution with the coefficients.  Time
+stepping is RK4 in the interaction picture (the linear phase is applied
+exactly), with automatic step halving until the mass drift meets tolerance.
+The phases of each block of steps are one table, computed in one array pass
+from the step times.
 
 The fundamental-theorem check integrates the two flow terms of the second
 modified energy and compares against the endpoint difference of the first.
@@ -31,6 +37,7 @@ from .symbols import (
     GAMMA_MODE_CAPS,
     MultiplierParams,
     _FrozenLambda,
+    _classify_batch,
     _real_part,
     _symbol_batch,
     energy_e1i,
@@ -43,20 +50,42 @@ from .symbols import (
 # flow
 
 
+#: RK4 steps per phase table, so the tables stay O(block x grid) in memory.
+_PHASE_BLOCK = 1 << 8
+
+
+def _grid(S: np.ndarray) -> tuple[np.ndarray, int]:
+    """Positions of the support on its compressed grid, and the grid length.
+
+    With g = gcd(S - S[0]) (1 for a single mode), mode S[0] + g*x sits at x.
+    A signed 5-sum j1 - j2 + j3 - j4 + j5 of modes is S[0] + g*(x1 - x2 + x3
+    - x4 + x5), so it is a mode of S exactly when the same signed sum of
+    positions is a position of S: the projected quintic keeps the same terms.
+    """
+    base = int(S[0])
+    g = int(np.gcd.reduce(S - base)) or 1
+    pos = (S - base) // g
+    return pos, int(pos[-1]) + 1
+
+
+def _quintic_grid(d: np.ndarray) -> np.ndarray:
+    """Coefficients of |v|^4 v at the L positions of the grid array d.
+
+    P = correlate(d, d) holds |v|^2; it is Hermitian, so its autocorrelation
+    is its self-convolution, |v|^4, of which only the middle 2L-1 entries
+    reach the grid.  Convolving those with d over the valid range gives the
+    L grid entries of |v|^4 v: three correlations in all.
+    """
+    p = np.correlate(d, d, "full")
+    return np.convolve(np.correlate(p, p, "same"), d, "valid")
+
+
 def _quintic(uhat: np.ndarray, S: np.ndarray, lam: float) -> np.ndarray:
     """Projected coefficient array of |u|^4 u on the support S."""
-    jmin = int(S[0])
-    L = int(S[-1]) - jmin + 1
+    pos, L = _grid(S)
     dense = np.zeros(L, dtype=np.complex128)
-    dense[S - jmin] = uhat
-    flip = np.conj(dense)[::-1]
-    off_f = -(jmin + L - 1)
-    c, o = np.convolve(dense, flip), jmin + off_f
-    c, o = np.convolve(c, dense), o + jmin
-    c, o = np.convolve(c, flip), o + off_f
-    c, o = np.convolve(c, dense), o + jmin
-    # S - o = S - jmin + 2L - 2 lies in [2L-2, 3L-3], inside len(c) = 5L-4
-    return c[S - o] / lam**4
+    dense[pos] = uhat
+    return _quintic_grid(dense)[pos] / lam**4
 
 
 @dataclass(frozen=True)
@@ -64,7 +93,9 @@ class Trajectory:
     """Equally spaced samples of a truncated flow.
 
     ``uhats[i]`` holds the coefficients on ``support`` at ``times[i]``; the
-    stepper is classical RK4 in the interaction picture.
+    stepper is classical RK4 in the interaction picture.  ``rk4_steps``
+    counts the steps of every attempt and ``halvings`` the step halvings
+    before the accepted one.
     """
 
     lam: float
@@ -74,6 +105,8 @@ class Trajectory:
     dt: float
     sign: int
     mass_drift: float
+    rk4_steps: int
+    halvings: int
 
     @property
     def n_samples(self) -> int:
@@ -100,6 +133,16 @@ def integrate_galerkin(
     ``sign`` +1 is defocusing, -1 focusing, 0 drops the nonlinearity (free
     flow).  The step is halved until the relative mass drift across samples
     is at most ``mass_tol``; persistent failure raises IntegrationError.
+
+    The stepper is built once per call: the state lives on the support's
+    compressed grid (see ``_grid``) and each RK4 stage is one
+    ``_quintic_grid`` between two phase rows.  Per sample interval, in blocks
+    of at most ``_PHASE_BLOCK`` steps, the step times come from one running
+    sum (bit for bit the sequential t += h) and the phases exp(i k^2 t) at the
+    step starts and midpoints from one array pass; the inbound rows are their
+    conjugates, the outbound rows carry -i*sign, the projection onto S and
+    1/lam^4.  The f2 and f3 stages share the midpoint row, and f4 reads the
+    row of the next step's f1.
     """
     if state.n_modes == 0:
         raise ValueError("empty support")
@@ -118,6 +161,8 @@ def integrate_galerkin(
             dt=0.0,
             sign=sign,
             mass_drift=0.0,
+            rk4_steps=0,
+            halvings=0,
         )
     if n_samples is None:
         n_samples = 21
@@ -131,8 +176,14 @@ def integrate_galerkin(
         raise ValueError("dt must be positive")
 
     lam = state.lam
+    pos, L = _grid(S)
     k2 = (S / lam).astype(np.float64) ** 2
-    mu = float(sign)
+    ik2 = np.zeros(L, dtype=np.complex128)
+    ik2[pos] = 1j * k2
+    # projection onto S and the quintic's 1/lam^4, folded into the phase rows
+    weight = np.zeros(L)
+    weight[pos] = 1.0 / lam**4
+    cmu = -1j * float(sign)
 
     def run(step: float):
         times = np.linspace(0.0, T, n_samples)
@@ -141,28 +192,38 @@ def integrate_galerkin(
         delta = times[1] - times[0]
         nsub = max(1, math.ceil(delta / step - 1e-12))
         h = delta / nsub
-        a = uhat0.astype(np.complex128).copy()  # interaction-picture variable
+        hh, h6 = h / 2, h / 6
+        a = np.zeros(L, dtype=np.complex128)  # interaction-picture variable
+        a[pos] = uhat0
         t = 0.0
-
-        def f(tt, aa):
-            ph = np.exp(1j * k2 * tt)
-            return -1j * mu * ph * _quintic(aa * np.conj(ph), S, lam)
-
         for i in range(1, n_samples):
-            for _ in range(nsub):
-                f1 = f(t, a)
-                f2 = f(t + h / 2, a + h / 2 * f1)
-                f3 = f(t + h / 2, a + h / 2 * f2)
-                f4 = f(t + h, a + h * f3)
-                a = a + h / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
-                t += h
-            out[i] = a * np.exp(-1j * k2 * t)
-        return times, out, h
+            for start in range(0, nsub, _PHASE_BLOCK):
+                m = min(_PHASE_BLOCK, nsub - start)
+                ts = np.full(m + 1, h)
+                ts[0] = t
+                ts = np.add.accumulate(ts)  # bit for bit the running t += h
+                fwd = np.exp(np.multiply.outer(ts, ik2))
+                fwd_mid = np.exp(np.multiply.outer(ts[:-1] + hh, ik2))
+                back, back_mid = np.conj(fwd), np.conj(fwd_mid)
+                for rows in (fwd, fwd_mid):  # in place: cmu * phase * weight
+                    rows *= cmu
+                    rows *= weight
+                for n in range(m):
+                    f1 = fwd[n] * _quintic_grid(a * back[n])
+                    f2 = fwd_mid[n] * _quintic_grid((a + hh * f1) * back_mid[n])
+                    f3 = fwd_mid[n] * _quintic_grid((a + hh * f2) * back_mid[n])
+                    f4 = fwd[n + 1] * _quintic_grid((a + h * f3) * back[n + 1])
+                    a = a + h6 * (f1 + 2 * f2 + 2 * f3 + f4)
+                t = ts[-1]
+            out[i] = a[pos] * np.exp(-1j * k2 * t)
+        return times, out, h, (n_samples - 1) * nsub
 
     mass0 = float(np.sum(np.abs(uhat0) ** 2))
     step = float(dt)
-    for _ in range(max_halvings + 1):
-        times, uhats, h_used = run(step)
+    rk4_steps = 0
+    for halvings in range(max_halvings + 1):
+        times, uhats, h_used, steps = run(step)
+        rk4_steps += steps
         masses = np.sum(np.abs(uhats) ** 2, axis=1)
         drift = float(np.max(np.abs(masses - mass0)) / mass0)
         if drift <= mass_tol:
@@ -174,6 +235,8 @@ def integrate_galerkin(
                 dt=h_used,
                 sign=sign,
                 mass_drift=drift,
+                rk4_steps=rk4_steps,
+                halvings=halvings,
             )
         step /= 2.0
     raise IntegrationError(
@@ -211,12 +274,15 @@ def check_flux_cap(n_modes: int) -> None:
 
 def _flux_table(S: np.ndarray, lam: float, p: MultiplierParams, sign: int) -> _FrozenLambda:
     """Arity-6 table over S with rows of values sigma6tilde (endpoint
-    correction), M6bar (resonant term) and sigma6 + mu*sigma6tilde (ten-linear)."""
+    correction), M6bar (resonant term) and sigma6 + mu*sigma6tilde
+    (ten-linear), all read off one classification of the tuples."""
 
     def symbol(js: np.ndarray, ilam: int) -> np.ndarray:
-        tilde = _symbol_batch("sigma6tilde", js, ilam, p)
+        verdicts = _classify_batch(js, ilam, p)[:2]
+        tilde = _symbol_batch("sigma6tilde", js, ilam, p, verdicts=verdicts)
         flow = _symbol_batch("sigma6", js, ilam, p, sign=sign) + sign * tilde
-        return np.stack([tilde, _symbol_batch("M6bar", js, ilam, p), flow])
+        bar = _symbol_batch("M6bar", js, ilam, p, verdicts=verdicts)
+        return np.stack([tilde, bar, flow])
 
     return _FrozenLambda(symbol, [S] * 6, lam)
 
@@ -224,12 +290,13 @@ def _flux_table(S: np.ndarray, lam: float, p: MultiplierParams, sign: int) -> _F
 def _flux_sums(table: _FrozenLambda, uhat: np.ndarray, S: np.ndarray, lam: float):
     """(sum, summed term magnitudes) of the three flux functionals at u on S;
     the ten-linear one substitutes Q = _quintic(u) into each slot j of the
-    third row with sign (-1)^j, and odd slots supply conj(Q)."""
+    third row alone with sign (-1)^j, and odd slots supply conj(Q)."""
     tilde, bar, _ = table([uhat] * 6)
+    ten = table.row(2)
     q = _quintic(uhat, S, lam)
     z, mass = 0j, 0.0
     for j in range(6):
-        zj, mj = table([q if i == j else uhat for i in range(6)])[2]
+        zj, mj = ten([q if i == j else uhat for i in range(6)])
         z += zj if j % 2 == 0 else -zj
         mass += mj
     return tilde, bar, (z, mass)

@@ -17,6 +17,7 @@ Conventions used throughout (and relied on by the tests):
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -388,8 +389,13 @@ def _symbol_batch(
     sign: int = +1,
     th: Thresholds = DEFAULT_THRESHOLDS,
     on_gap: str = "error",
+    verdicts=None,
 ):
-    """Vectorized symbol values on rows of stored-frequency tuples."""
+    """Vectorized symbol values on rows of stored-frequency tuples.
+
+    ``verdicts``, the (codes, upsilon) of ``_classify_batch`` on these rows at
+    ``th``, lets callers that read M6bar and sigma6tilde classify once.
+    """
     js = np.asarray(js, dtype=np.int64)
     if symbol_id == "sigma2":
         return _sigma2_batch(js, lam, p)
@@ -409,7 +415,7 @@ def _symbol_batch(
     m6 = m6_1 - _prod_m(js, lam, p) * omega / 6.0
     if symbol_id == "M6":
         return m6
-    codes, upsilon, *_ = _classify_batch(js, lam, p, th)
+    codes, upsilon = _classify_batch(js, lam, p, th)[:2] if verdicts is None else verdicts
     m6bar = np.where(upsilon & (codes > 0), m6_1, 0.0)
     if symbol_id == "M6bar":
         return m6bar
@@ -544,6 +550,13 @@ class _FrozenLambda:
         if terms.ndim == 1:
             return self.scale * complex(sums), self.scale * float(masses)
         return [(self.scale * complex(z), self.scale * float(m)) for z, m in zip(sums, masses)]
+
+    def row(self, k: int) -> "_FrozenLambda":
+        """The table of the k-th row of stacked values alone, sharing the
+        stored tuples; it sums bit for bit as that row of this table."""
+        one = copy.copy(self)
+        one.values = self.values[k]
+        return one
 
 
 def _real_part(z: complex, mass: float, what: str) -> float:

@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment runner: schemas, determinism, exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import nlslab
+from nlslab import cli
 from nlslab.cli import EXPERIMENTS, main
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ANNULUS_CSV_GOLDEN = (
     "form,center_x,center_y,r1sq,r2sq,bounds,count,gauss_error\n"
@@ -235,6 +239,30 @@ class TestExperiments:
         masses = [r["mass"] for r in doc["rows"]]
         assert max(masses) - min(masses) <= 1e-8
         assert doc["meta"]["relative"] <= 1e-9
+        # four sample intervals of 0.0125 at dt 0.0125, accepted first time
+        assert (doc["meta"]["rk4_steps"], doc["meta"]["halvings"]) == (4, 0)
+
+    def test_energy_track_counts_every_attempt(self):
+        # two sample intervals of 0.1: dt 0.1 halves twice to 0.025, whose
+        # mass drift meets the tolerance, after 2 + 4 + 8 steps
+        doc = cli.run_experiment("energy-track", {"T": 0.2, "dt": 0.1, "n_samples": 3}, 0, 1)
+        meta = doc["meta"]
+        assert (meta["dt_effective"], meta["halvings"], meta["rk4_steps"]) == (0.025, 2, 14)
+
+    def test_energy_flux_matches_benchmark_reference(self):
+        # the benchmark's energy-flux jobs at seed 0 against its committed
+        # rows, through the benchmark's own comparison: mass to 1e-8,
+        # hamiltonian and e1 to 1e-6, dt_effective exactly
+        spec = importlib.util.spec_from_file_location("perfbench_checks", BENCH / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        reference = checks.load_reference("energy-flux")
+        assert len(reference) == 2
+        for ref in reference:
+            config = ref["config"]
+            doc = cli.run_experiment(ref["experiment"], config, config["seed"], 1)
+            assert checks.check_job(ref["experiment"], config, doc["params"], doc, reference) == []
+            assert doc["meta"]["dt_effective"] == ref["dt_effective"]
 
     @pytest.mark.parametrize(
         "support",

@@ -8,11 +8,13 @@ import pytest
 
 from nlslab.errors import CapExceededError, IntegrationError
 from nlslab.fourier import FourierState, evolve_linear
+from nlslab import galerkin
 from nlslab.galerkin import (
     FtcReport,
     Trajectory,
     _flux_sums,
     _flux_table,
+    _quintic,
     _simpson,
     energy_drift,
     ftc_residual,
@@ -41,6 +43,84 @@ def seeded_state(key, lam, support):
 
 ACCEPT = seeded_state(0, 4.0, (0, 4, 8, 20))
 ACTIVE = seeded_state(5, 1.0, (-4, -3, 3, 4))
+
+QUINTIC_SUPPORTS = [
+    (0, 4, 8, 20),
+    (-9, -6, 0, 12),  # gcd 3 from a negative first mode
+    (5,),  # one mode: gcd.reduce gives 0, the grid step is 1
+    (-6, -1, 0, 4),
+    (-30, -26, -20, -19, -17, -12, -9, 0, 18, 20, 25, 32),
+]
+
+
+def reference_quintic(uhat, S, lam):
+    """Projected |u|^4 u by four convolutions on the uncompressed grid
+    S[0]..S[-1], the stepper's former quintic."""
+    jmin = int(S[0])
+    L = int(S[-1]) - jmin + 1
+    dense = np.zeros(L, dtype=np.complex128)
+    dense[S - jmin] = uhat
+    flip = np.conj(dense)[::-1]
+    off_f = -(jmin + L - 1)
+    c, o = np.convolve(dense, flip), jmin + off_f
+    c, o = np.convolve(c, dense), o + jmin
+    c, o = np.convolve(c, flip), o + off_f
+    c, o = np.convolve(c, dense), o + jmin
+    return c[S - o] / lam**4
+
+
+def brute_quintic(uhat, S, lam):
+    """Projected |u|^4 u term by term: every 5-tuple of modes whose signed sum
+    j1 - j2 + j3 - j4 + j5 is a mode of S."""
+    idx = np.indices((len(S),) * 5).reshape(5, -1)
+    k = S[idx[0]] - S[idx[1]] + S[idx[2]] - S[idx[3]] + S[idx[4]]
+    c, cc = uhat, np.conj(uhat)
+    w = c[idx[0]] * cc[idx[1]] * c[idx[2]] * cc[idx[3]] * c[idx[4]]
+    return np.array([w[k == j].sum() for j in S]) / lam**4
+
+
+def reference_integrate(state, T, dt, sign, n_samples, mass_tol=1e-8, max_halvings=6):
+    """The stepper's former loop: the phase recomputed at every RK4 stage and
+    reference_quintic.  Returns (times, uhats, dt, halvings, steps) with steps
+    summed over every attempt; n_samples must be odd."""
+    S, lam, uhat0 = state.indices, state.lam, state.uhat_array()
+    k2 = (S / lam).astype(np.float64) ** 2
+    mu = float(sign)
+
+    def f(tt, aa):
+        ph = np.exp(1j * k2 * tt)
+        return -1j * mu * ph * reference_quintic(aa * np.conj(ph), S, lam)
+
+    def run(step):
+        times = np.linspace(0.0, T, n_samples)
+        out = np.empty((n_samples, len(S)), dtype=np.complex128)
+        out[0] = uhat0
+        delta = times[1] - times[0]
+        nsub = max(1, math.ceil(delta / step - 1e-12))
+        h = delta / nsub
+        a = uhat0.astype(np.complex128).copy()
+        t = 0.0
+        for i in range(1, n_samples):
+            for _ in range(nsub):
+                f1 = f(t, a)
+                f2 = f(t + h / 2, a + h / 2 * f1)
+                f3 = f(t + h / 2, a + h / 2 * f2)
+                f4 = f(t + h, a + h * f3)
+                a = a + h / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+                t += h
+            out[i] = a * np.exp(-1j * k2 * t)
+        return times, out, h, (n_samples - 1) * nsub
+
+    mass0 = float(np.sum(np.abs(uhat0) ** 2))
+    step, steps = float(dt), 0
+    for halvings in range(max_halvings + 1):
+        times, uhats, h, n = run(step)
+        steps += n
+        masses = np.sum(np.abs(uhats) ** 2, axis=1)
+        if np.max(np.abs(masses - mass0)) / mass0 <= mass_tol:
+            return times, uhats, h, halvings, steps
+        step /= 2.0
+    raise AssertionError("reference flow exhausted its halvings")
 
 
 def brute_force_sum(symbol, states):
@@ -88,7 +168,46 @@ def frozen_sum(symbol, states):
     return table([s.uhat_array() for s in states])[0]
 
 
+class TestQuintic:
+    @pytest.mark.parametrize("support", QUINTIC_SUPPORTS)
+    def test_matches_oracles(self, support):
+        # the compressed grid and the autocorrelation form reorder the sums
+        # only, so both oracles agree to roundoff; lam=3 checks the 1/lam^4
+        S = np.asarray(support, dtype=np.int64)
+        rng = stream(10, len(S))
+        for lam in (1.0, 3.0):
+            u = rng.normal(size=len(S)) + 1j * rng.normal(size=len(S))
+            got = _quintic(u, S, lam)
+            for want in (brute_quintic(u, S, lam), reference_quintic(u, S, lam)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestIntegrator:
+    @pytest.mark.parametrize(
+        "state, T, dt, n_samples",
+        [(ACTIVE, 0.1, 0.005, 5), (ACCEPT, 0.1, 0.025, 5)],
+        ids=["halving", "accepted"],
+    )
+    def test_matches_reference_rk4(self, state, T, dt, n_samples):
+        # ACTIVE halves six times and amplifies roundoff along the flow: by
+        # T=0.2 the reference loop itself moves by 4e-14 relative when its
+        # quintic is summed term by term instead, so the window ends at 0.1
+        times, uhats, h, halvings, steps = reference_integrate(state, T, dt, +1, n_samples)
+        traj = integrate_galerkin(state, T, dt=dt, sign=+1, n_samples=n_samples)
+        assert (traj.dt, traj.halvings, traj.rk4_steps) == (h, halvings, steps)
+        assert (halvings > 0) == (state is ACTIVE)
+        np.testing.assert_array_equal(traj.times, times)
+        assert np.max(np.abs(traj.uhats - uhats)) <= 1e-13 * np.max(np.abs(uhats))
+
+    def test_phase_blocks_do_not_change_bits(self, monkeypatch):
+        # the running step time restarts at each block boundary from the
+        # last one, so the block size leaves every bit in place
+        want = integrate_galerkin(ACTIVE, 0.2, dt=0.005, sign=+1, n_samples=5)
+        monkeypatch.setattr(galerkin, "_PHASE_BLOCK", 3)
+        got = integrate_galerkin(ACTIVE, 0.2, dt=0.005, sign=+1, n_samples=5)
+        assert got.uhats.tobytes() == want.uhats.tobytes()
+        assert (got.dt, got.rk4_steps, got.halvings) == (want.dt, want.rk4_steps, want.halvings)
+
     def test_free_flow_matches_linear_propagator(self):
         u0 = seeded_state(1, 2.0, (-6, -1, 0, 4))
         traj = integrate_galerkin(u0, 0.8, dt=0.05, sign=0, n_samples=9)
@@ -116,6 +235,7 @@ class TestIntegrator:
     def test_t_zero_single_sample(self):
         traj = integrate_galerkin(ACTIVE, 0.0, sign=+1)
         assert traj.n_samples == 1 and traj.dt == 0.0 and traj.mass_drift == 0.0
+        assert traj.rk4_steps == 0 and traj.halvings == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
