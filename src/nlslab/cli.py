@@ -269,7 +269,10 @@ def _run_symbol_bound_scan(q: dict, seed: int):
         }
         for r in rep.records
     ]
-    return rows, {}
+    return rows, {
+        "classified": {str(n): c for n, c, _ in rep.work},
+        "operator_tuples": {str(n): t for n, _, t in rep.work},
+    }
 
 
 def _run_energy_track(q: dict, seed: int):

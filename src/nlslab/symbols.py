@@ -18,6 +18,7 @@ Conventions used throughout (and relied on by the tests):
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +36,8 @@ _TAU = math.tau
 #: Mode-count caps for exact hyperplane sums, keyed by arity.
 GAMMA_MODE_CAPS = {6: 12}
 
-#: Candidate tuples per enumeration chunk; bounds the transient index arrays.
+#: Candidate tuples per enumeration block (at least one slot's modes);
+#: bounds the transient partial-sum arrays.
 _CHUNK = 1 << 21
 
 #: Largest imaginary part a real hyperplane sum may carry, relative to the
@@ -179,16 +181,30 @@ def dyadic_class(x) -> int:
 
 
 def _class_batch(num: np.ndarray, lam: int) -> np.ndarray:
-    """Dyadic class of num/lam for nonnegative integer num, exact."""
-    t = -((-num) // lam)  # ceil(num/lam)
-    u = np.maximum(t - 1, 0)
-    e = np.ceil(np.log2(u + 1.0)).astype(np.int64)
-    cls = np.int64(1) << e
-    # one exact fix-up pass each way guards against log2 rounding
-    low = cls < t
-    cls[low] <<= 1
-    high = (cls >> 1) >= np.maximum(t, 1)
-    cls[high] >>= 1
+    """Dyadic class of num/lam for nonnegative integer num, exact.
+
+    With u = max(ceil(num/lam) - 1, 0) = max((num - 1) // lam, 0) the class
+    is 2**bit_length(u), and bit_length(u) is the exponent ``np.frexp``
+    gives for float(u) whenever that conversion is exact, as it is below
+    2**53.  Above, rounding to nearest is monotone and 2**k is a float, so u
+    in [2**(k-1), 2**k) converts into [2**(k-1), 2**k]: the exponent is k,
+    or k + 1 exactly when float(u) rounded up to 2**k.  Then half the class,
+    2**k, exceeds u, and one integer pass, run when some u reaches 2**53,
+    halves it back.  A class above 2**62 (u >= 2**62) would not fit int64
+    and raises OverflowError; below, capping the exponent at 62 keeps the
+    shift in range, since a rounded-up exponent of 63 belongs to a class of
+    2**62.  So every class returned is exact.
+    """
+    u = num - 1
+    if lam > 1:
+        u //= lam
+    np.maximum(u, 0, out=u)
+    top = int(u.max(initial=0))
+    if top >> 62:
+        raise OverflowError("dyadic class above 2**62 does not fit int64")
+    cls = np.int64(1) << np.minimum(np.frexp(u)[1], 62)
+    if top >> 53:  # float(u) may have rounded up to the next power of two
+        cls >>= (cls >> 1) > u
     return cls
 
 
@@ -211,32 +227,53 @@ class ResonanceVerdict:
     witness: dict = field(compare=False)
 
 
+def _sort_key_groups(key: np.ndarray) -> np.ndarray:
+    """Slot-major keys, shape (6, rows), with the odd slots (0, 2, 4) and the
+    even slots (1, 3, 5) of each tuple sorted descending, by a 3-comparator
+    min/max network that runs on both groups at once."""
+    a, b, c = key[0:2], key[2:4], key[4:6]
+    a, b = np.maximum(a, b), np.minimum(a, b)
+    b, c = np.maximum(b, c), np.minimum(b, c)
+    a, b = np.maximum(a, b), np.minimum(a, b)
+    return np.concatenate([a, b, c])
+
+
 def _sort_groups(js: np.ndarray) -> np.ndarray:
     """Canonical slot order: odd and even groups each sorted by
-    (magnitude desc, value desc); conjugation swap if the even group leads."""
-    def sort_block(block: np.ndarray) -> np.ndarray:
-        # stable composition: secondary value desc first, magnitude desc last
-        key = np.argsort(-block, axis=1, kind="stable")
-        block = np.take_along_axis(block, key, axis=1)
-        key2 = np.argsort(-np.abs(block), axis=1, kind="stable")
-        return np.take_along_axis(block, key2, axis=1)
+    (magnitude desc, value desc); conjugation swap if the even group leads.
 
-    out = js.copy()
-    for cols in ((0, 2, 4), (1, 3, 5)):
-        out[:, cols] = sort_block(out[:, cols])
-    om, em = np.abs(out[:, (0, 2, 4)]), np.abs(out[:, (1, 3, 5)])
-    swap = np.zeros(len(out), dtype=bool)
-    undecided = np.ones(len(out), dtype=bool)
-    for c in range(3):
-        gt = undecided & (em[:, c] > om[:, c])
-        swap |= gt
-        undecided &= em[:, c] == om[:, c]
+    Each group is sorted descending on the integer key 2|v| + (v > 0), which
+    orders by magnitude and then puts v before -v; equal keys are equal
+    values, so no stability is needed, and v = ±(key >> 1) with the sign in
+    the low bit.  Keys need |v| < 2**62.  The even group leads when its
+    magnitudes, key >> 1, are lexicographically greater; only those rows are
+    replaced by their conjugates (groups exchanged, values negated, which
+    flips the low bit of every nonzero key) and sorted again with the same
+    network.
+    The work runs slot-major: the result is a (rows, 6) view whose columns
+    are contiguous.
+    """
+    jt = np.ascontiguousarray(js.T)
+    key = np.abs(jt) << 1
+    key |= jt > 0
+    key = _sort_key_groups(key)
+    mag = key >> 1
+    swap = np.zeros(key.shape[1], dtype=bool)
+    undecided = np.ones(key.shape[1], dtype=bool)
+    for c in range(0, 6, 2):
+        swap |= undecided & (mag[c + 1] > mag[c])
+        undecided &= mag[c + 1] == mag[c]
     if swap.any():
-        sub = -out[swap][:, (1, 0, 3, 2, 5, 4)]
-        for cols in ((0, 2, 4), (1, 3, 5)):
-            sub[:, cols] = sort_block(sub[:, cols])
-        out[swap] = sub
-    return out
+        rows = np.flatnonzero(swap)
+        conj = key.take(rows, axis=1)[[1, 0, 3, 2, 5, 4]]
+        conj ^= conj != 0
+        key[:, rows] = _sort_key_groups(conj)
+        mag = key >> 1
+    # v = mag on odd keys, -mag = (mag ^ -1) + 1 on even ones
+    neg = (key & 1) - 1
+    mag ^= neg
+    mag -= neg
+    return mag.T
 
 
 def _classify_batch(
@@ -247,15 +284,21 @@ def _classify_batch(
 ):
     """Vectorized verdicts.
 
-    Returns (codes, upsilon) where codes index KIND_NAMES; rows off
-    Upsilon_6 get code 0 and upsilon False (callers gate on it).
+    Returns (codes, upsilon, can, cls, scls): codes index KIND_NAMES, rows
+    off Upsilon_6 get code 0 and upsilon False (callers gate on it); can is
+    the canonical slot order, cls the dyadic class of each of its slots and
+    scls the classes in descending order.  The magnitudes are sorted once;
+    the class is monotone, so scls is the class of the sorted magnitudes.
+    Cases (ii) need the top four classes at four given slots; as multisets,
+    that holds exactly when the classes at the other two slots are
+    {scls[:, 4], scls[:, 5]}, which one max/min pair decides.
     """
     js = np.asarray(js, dtype=np.int64)
     can = _sort_groups(js)
     mags = np.abs(can)
     cls = _class_batch(mags, lam)
-    smags = -np.sort(-mags, axis=1)
-    scls = -np.sort(-cls, axis=1)
+    smags = np.sort(mags, axis=1)[:, ::-1]
+    scls = _class_batch(smags, lam)
 
     upsilon = th.sim(scls[:, 0], scls[:, 1]) & (smags[:, 1] > p.N * lam)
     preamble = th.sim(cls[:, 0], cls[:, 1])
@@ -277,31 +320,29 @@ def _classify_batch(
 
     gate_ii = th.sim(scls[:, 0], scls[:, 3]) & th.gg(scls[:, 0], scls[:, 4])
 
-    def topfour(idx):
-        sub = -np.sort(-cls[:, idx], axis=1)
-        return (sub == scls[:, :4]).all(axis=1)
+    def topfour(rest):
+        # the top four classes fill the slots outside ``rest`` (see docstring)
+        a, b = cls[:, rest[0]], cls[:, rest[1]]
+        return (np.maximum(a, b) == scls[:, 4]) & (np.minimum(a, b) == scls[:, 5])
 
-    def sign_spread(anchor, others):
-        """Per-slot gap conditions against the anchor column."""
-        a = can[:, anchor]
-        ok = np.ones(len(can), dtype=bool)
-        allpos = np.ones(len(can), dtype=bool)
-        allneg = np.ones(len(can), dtype=bool)
-        for c in others:
-            v = can[:, c]
-            allpos &= v > 0
-            allneg &= v < 0
-            same = a * v > 0
-            opp = a * v < 0
-            dcls = _class_batch(np.abs(a[:, None] - v[:, None]).ravel(), lam)
-            pcls = _class_batch(np.abs(a[:, None] + v[:, None]).ravel(), lam)
-            ok &= ~same | th.sim(dcls, scls[:, 0])
-            ok &= ~opp | th.sim(pcls, scls[:, 0])
-        return ok & ~(allpos | allneg)
+    def sign_spread(mask, anchor, others):
+        """``mask`` cleared where the per-slot gap conditions against the
+        anchor column fail, evaluated on the rows ``mask`` holds only."""
+        rows = np.flatnonzero(mask)
+        sub = can[rows]
+        a, v = sub[:, anchor, None], sub[:, others]
+        # classes of |a - v| then |a + v|, similar to the top class or not
+        near = th.sim(_class_batch(np.abs(np.hstack([a - v, a + v])), lam), scls[rows, :1])
+        sign = a * v
+        ok = ((sign <= 0) | near[:, :3]) & ((sign >= 0) | near[:, 3:])
+        ok = ok.all(axis=1) & ~((v > 0).all(axis=1) | (v < 0).all(axis=1))
+        out = np.zeros_like(mask)
+        out[rows] = ok
+        return out
 
-    case_iia = gate_ii & topfour([0, 1, 2, 3])
-    case_iib = gate_ii & topfour([0, 1, 3, 5]) & sign_spread(0, (1, 3, 5))
-    case_iic = gate_ii & topfour([0, 1, 2, 4]) & sign_spread(1, (0, 2, 4))
+    case_iia = gate_ii & topfour((4, 5))
+    case_iib = sign_spread(gate_ii & topfour((2, 4)), 0, [1, 3, 5])
+    case_iic = sign_spread(gate_ii & topfour((3, 5)), 1, [0, 2, 4])
     case_iii = th.sim(scls[:, 0], scls[:, 4])
 
     codes = np.select(
@@ -490,29 +531,45 @@ def _zero_sum_chunks(supports: Sequence[np.ndarray]):
     """Stored zero-sum tuples with one support of modes per slot.
 
     Odd slots store the mode and even slots its negation.  The first n-1
-    slots run over all mode combinations, the first slot fastest, in chunks
-    of ``_CHUNK`` candidates; the last slot is solved from the zero sum and
-    kept when its mode is in its support.  Yields ``(digits, last_pos, js)``
-    per chunk for the kept rows: int32 positions in the supports of the first
-    n-1 slots and of the last slot's mode, and the stored tuples.
+    slots run over all mode combinations, the first slot fastest; the last
+    slot is solved from the zero sum and kept when its mode is in its
+    support.  The partial sums of the first n-1 slots are formed by
+    broadcasting, first slot on the fastest axis, over the longest run of
+    leading "fast" slots whose combinations number at most ``_CHUNK`` (at
+    least the first slot); the remaining slow slots are fixed per block, in
+    order, and add a constant.  Yields ``(digits, last_pos, js)`` per block
+    for the kept rows: int32 positions in the supports of the first n-1
+    slots and of the last slot's mode, and the stored tuples.  Only the kept
+    rows' fast digits are recovered, by divmod of their index in the block.
     """
     slots = [s if i % 2 == 0 else -s for i, s in enumerate(supports[:-1])]
     last = supports[-1]
-    total = math.prod(len(s) for s in slots)
-    for a in range(0, total, _CHUNK):
-        rem = np.arange(a, min(a + _CHUNK, total), dtype=np.int64)
-        digits, ssum = [], 0
-        for s in slots:
-            rem, d = np.divmod(rem, len(s))
-            digits.append(d)
-            ssum = ssum + s[d]
+    n_fast = 1
+    while n_fast < len(slots) and math.prod(len(s) for s in slots[: n_fast + 1]) <= _CHUNK:
+        n_fast += 1
+    fast = slots[0]
+    for s in slots[1:n_fast]:
+        fast = (s[:, None] + fast).ravel()
+    slow = slots[n_fast:]
+    # the first slow slot varies fastest from block to block
+    for slow_digits in itertools.product(*(range(len(s)) for s in reversed(slow))):
+        slow_digits = slow_digits[::-1]
+        ssum = fast + sum(s[d] for s, d in zip(slow, slow_digits))
         # the arity is even, so the last slot is even: stored -ssum needs mode +ssum
-        pos = np.clip(np.searchsorted(last, ssum), 0, len(last) - 1)
-        ok = last[pos] == ssum
-        # rebinding drops the chunk-wide digits before the caller works on the rows
-        digits = np.stack([d[ok] for d in digits], axis=1).astype(np.int32)
-        js = np.column_stack([s[d] for s, d in zip(slots, digits.T)] + [-ssum[ok]])
-        yield digits, pos[ok].astype(np.int32), js
+        pos = np.minimum(np.searchsorted(last, ssum), len(last) - 1)
+        keep = np.flatnonzero(last[pos] == ssum)
+        digits = np.empty((len(keep), len(slots)), dtype=np.int32)
+        js = np.empty((len(keep), len(supports)), dtype=ssum.dtype)
+        rem = keep
+        for i, s in enumerate(slots):
+            if i < n_fast:
+                rem, d = np.divmod(rem, len(s))
+            else:
+                d = slow_digits[i - n_fast]
+            digits[:, i] = d
+            js[:, i] = s[d]
+        js[:, -1] = -ssum[keep]
+        yield digits, pos[keep].astype(np.int32), js
 
 
 class _FrozenLambda:
@@ -704,6 +761,9 @@ class BoundScanRecord:
 @dataclass(frozen=True)
 class BoundScanReport:
     records: tuple[BoundScanRecord, ...]
+    # per cutoff, in N_list order: (N, sampled tuples classified, stored rows
+    # summed over that cutoff's operator tables)
+    work: tuple[tuple[int, int, int], ...] = ()
 
     def ratios(self, kind: str) -> dict[int, float]:
         return {r.N: r.max_ratio for r in self.records if r.kind == kind}
@@ -759,6 +819,8 @@ def bound_scan_symbols(
     the (N3*)^2 square-sum scale) have no dyadic envelope: integer near-
     cancellations push the quotient arbitrarily high there, so they are
     reported via collapsed_count / collapsed_max instead of max_ratio.
+    ``work`` counts, per cutoff, the sampled tuples classified and the
+    stored rows of the operator tables, as their symbol saw them.
     """
     if operator_states < 0:
         raise ValueError("operator_states must be nonnegative")
@@ -766,6 +828,7 @@ def bound_scan_symbols(
         raise ValueError("operator_modes must be positive")
     th = SCAN_THRESHOLDS
     records: list[BoundScanRecord] = []
+    work: list[tuple[int, int, int]] = []
     for N in N_list:
         pN = MultiplierParams(int(N), p.s)
         rng = stream(seed, 31, int(N))
@@ -844,13 +907,21 @@ def bound_scan_symbols(
 
         best = 0.0
         sig = symbol_fn("sigma6tilde", pN, th=th, on_gap="zero")
+        stored: list[int] = []
+
+        def counted(rows, ilam):
+            # a table hands each of its stored rows to the symbol once
+            stored.append(len(rows))
+            return sig(rows, ilam)
+
         for i in range(operator_states):
             srng = stream(seed, 37, int(N), i)
             jset = np.sort(srng.choice(np.arange(-3 * N, 3 * N + 1), size=operator_modes, replace=False))
             amps = srng.normal(size=operator_modes) + 1j * srng.normal(size=operator_modes)
             u = FourierState.from_uhat(float(lam), dict(zip(map(int, jset), amps)))
-            num = abs(lambda_n_evaluate(sig, [u] * 6))
+            num = abs(lambda_n_evaluate(counted, [u] * 6))
             den = (2 * math.pi * apply_I(u, pN).sobolev_norm_sq(1.0)) ** 3
             best = max(best, num / den)
         records.append(BoundScanRecord("operator", int(N), best, operator_states))
-    return BoundScanReport(records=tuple(records))
+        work.append((int(N), len(js), sum(stored)))
+    return BoundScanReport(records=tuple(records), work=tuple(work))

@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment runner: schemas, determinism, exit codes."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nlslab
-from nlslab import cli
+from nlslab import cli, symbols
 from nlslab.cli import EXPERIMENTS, main
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -226,6 +227,27 @@ class TestExperiments:
         doc = json.loads(out.read_text())
         assert set(doc["meta"]["max_r"]) == {"16", "32"}
         assert len(doc["rows"]) == 4  # (const + 1 random) per N
+
+    def test_symbol_bound_scan_work_counts(self, tmp_path):
+        # meta counts the tuples classified and the operator tables' stored
+        # rows per cutoff.  One mode stores 1 six-tuple; two distinct modes
+        # a, b store 20: the triple sums 3a, 2a+b, a+2b, 3b occur 1, 3, 3, 1
+        # times and a stored row pairs two triples of one sum.
+        for modes, per_state in ((1, 1), (2, 20)):
+            config = {"samples": 300, "N_list": [16, 64], "operator_states": 3, "operator_modes": modes}
+            rc, out = run_cli(tmp_path, ["symbol-bound-scan", "--seed", "4"], config=config)
+            assert rc == 0
+            meta = json.loads(out.read_text())["meta"]
+            assert meta["classified"] == {"16": 300, "64": 300}
+            assert meta["operator_tuples"] == {"16": 3 * per_state, "64": 3 * per_state}
+            # the CSV rows are the plain library scan's records, byte for byte
+            rc, out = run_cli(tmp_path, ["symbol-bound-scan", "--seed", "4", "--format", "csv"], config=config)
+            assert rc == 0
+            rep = symbols.bound_scan_symbols(
+                symbols.MultiplierParams(16, 0.5), 300, [16, 64], 4, operator_modes=modes, operator_states=3
+            )
+            plain = {"experiment": "symbol-bound-scan", "rows": [dataclasses.asdict(r) for r in rep.records]}
+            assert out.read_bytes() == cli.render(plain, "csv").encode()
 
     def test_energy_track_rows(self, tmp_path):
         rc, out = run_cli(

@@ -15,6 +15,7 @@ from nlslab.rng import stream
 from nlslab.symbols import (
     DEFAULT_THRESHOLDS,
     GAMMA_MODE_CAPS,
+    KIND_NAMES,
     SCAN_THRESHOLDS,
     FreqTuple,
     MultiplierParams,
@@ -39,7 +40,9 @@ from nlslab.symbols import (
     _classify_batch,
     _omega_int,
     _sample_tuples,
+    _sort_groups,
     _symbol_batch,
+    _zero_sum_chunks,
 )
 
 P16 = MultiplierParams(16, 0.5)
@@ -54,6 +57,137 @@ def rand_state(rng, lam, js):
 def rand_gamma_tuple(rng, width):
     js = rng.integers(-width, width + 1, size=5)
     return np.append(js, -js.sum())
+
+
+# Test-only references: the classifier and the tuple enumerator as they were
+# before the sorting network, the frexp classes and the broadcast partial
+# sums.  The fast paths must reproduce them bit for bit.
+
+
+def reference_class_batch(num, lam):
+    """Dyadic class of num/lam by log2 with an exact fix-up pass each way."""
+    t = -((-num) // lam)  # ceil(num/lam)
+    u = np.maximum(t - 1, 0)
+    e = np.ceil(np.log2(u + 1.0)).astype(np.int64)
+    cls = np.int64(1) << e
+    low = cls < t
+    cls[low] <<= 1
+    high = (cls >> 1) >= np.maximum(t, 1)
+    cls[high] >>= 1
+    return cls
+
+
+def reference_sort_groups(js):
+    """Canonical slot order by two stable argsorts per group."""
+
+    def sort_block(block):
+        # stable composition: secondary value desc first, magnitude desc last
+        key = np.argsort(-block, axis=1, kind="stable")
+        block = np.take_along_axis(block, key, axis=1)
+        key2 = np.argsort(-np.abs(block), axis=1, kind="stable")
+        return np.take_along_axis(block, key2, axis=1)
+
+    out = js.copy()
+    for cols in ((0, 2, 4), (1, 3, 5)):
+        out[:, cols] = sort_block(out[:, cols])
+    om, em = np.abs(out[:, (0, 2, 4)]), np.abs(out[:, (1, 3, 5)])
+    swap = np.zeros(len(out), dtype=bool)
+    undecided = np.ones(len(out), dtype=bool)
+    for c in range(3):
+        swap |= undecided & (em[:, c] > om[:, c])
+        undecided &= em[:, c] == om[:, c]
+    if swap.any():
+        sub = -out[swap][:, (1, 0, 3, 2, 5, 4)]
+        for cols in ((0, 2, 4), (1, 3, 5)):
+            sub[:, cols] = sort_block(sub[:, cols])
+        out[swap] = sub
+    return out
+
+
+def reference_classify_batch(js, lam, p, th=DEFAULT_THRESHOLDS):
+    """(codes, upsilon, can, cls, scls) with per-row sorts throughout."""
+    js = np.asarray(js, dtype=np.int64)
+    can = reference_sort_groups(js)
+    mags = np.abs(can)
+    cls = reference_class_batch(mags, lam)
+    smags = -np.sort(-mags, axis=1)
+    scls = -np.sort(-cls, axis=1)
+
+    upsilon = th.sim(scls[:, 0], scls[:, 1]) & (smags[:, 1] > p.N * lam)
+    preamble = th.sim(cls[:, 0], cls[:, 1])
+    k1, k2 = can[:, 0], can[:, 1]
+    sum12 = np.abs(k1 + k2)
+    diff12 = np.abs(k1 - k2)
+    case_i = (
+        th.sim(scls[:, 0], scls[:, 1])
+        & th.sim(scls[:, 2], scls[:, 3])
+        & th.gg(scls[:, 0], scls[:, 2])
+        & (k1 * k2 < 0)
+        & (sum12 * diff12 <= th.c_window * lam**2 * scls[:, 2] ** 2)
+    )
+    gate_ii = th.sim(scls[:, 0], scls[:, 3]) & th.gg(scls[:, 0], scls[:, 4])
+
+    def topfour(idx):
+        sub = -np.sort(-cls[:, idx], axis=1)
+        return (sub == scls[:, :4]).all(axis=1)
+
+    def sign_spread(anchor, others):
+        a = can[:, anchor]
+        ok = np.ones(len(can), dtype=bool)
+        allpos = np.ones(len(can), dtype=bool)
+        allneg = np.ones(len(can), dtype=bool)
+        for c in others:
+            v = can[:, c]
+            allpos &= v > 0
+            allneg &= v < 0
+            dcls = reference_class_batch(np.abs(a - v), lam)
+            pcls = reference_class_batch(np.abs(a + v), lam)
+            ok &= ~(a * v > 0) | th.sim(dcls, scls[:, 0])
+            ok &= ~(a * v < 0) | th.sim(pcls, scls[:, 0])
+        return ok & ~(allpos | allneg)
+
+    case_iia = gate_ii & topfour([0, 1, 2, 3])
+    case_iib = gate_ii & topfour([0, 1, 3, 5]) & sign_spread(0, (1, 3, 5))
+    case_iic = gate_ii & topfour([0, 1, 2, 4]) & sign_spread(1, (0, 2, 4))
+    case_iii = th.sim(scls[:, 0], scls[:, 4])
+    codes = np.select(
+        [~preamble, case_i, case_iia, case_iib, case_iic, case_iii],
+        [0, 1, 2, 3, 4, 5],
+        default=0,
+    ).astype(np.int8)
+    codes[~upsilon] = 0
+    return codes, upsilon, can, cls, scls
+
+
+def reference_zero_sum_chunks(supports, chunk=1 << 21):
+    """Stored zero-sum tuples by divmod of every candidate index."""
+    slots = [s if i % 2 == 0 else -s for i, s in enumerate(supports[:-1])]
+    last = supports[-1]
+    total = math.prod(len(s) for s in slots)
+    for a in range(0, total, chunk):
+        rem = np.arange(a, min(a + chunk, total), dtype=np.int64)
+        digits, ssum = [], 0
+        for s in slots:
+            rem, d = np.divmod(rem, len(s))
+            digits.append(d)
+            ssum = ssum + s[d]
+        pos = np.clip(np.searchsorted(last, ssum), 0, len(last) - 1)
+        ok = last[pos] == ssum
+        digits = np.stack([d[ok] for d in digits], axis=1).astype(np.int32)
+        js = np.column_stack([s[d] for s, d in zip(slots, digits.T)] + [-ssum[ok]])
+        yield digits, pos[ok].astype(np.int32), js
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def enumerate_all(chunks):
+    """(digits, last_pos, js) of a chunked enumeration, concatenated."""
+    parts = list(chunks)
+    return tuple(np.concatenate([part[i] for part in parts]) for i in range(3))
 
 
 class TestMultiplier:
@@ -143,6 +277,22 @@ class TestTuples:
             got = _class_batch(nums, lam)
             want = [dyadic_class(F(int(n), lam)) for n in nums]
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("lam", [1, 3, 8])
+    def test_class_batch_exact_to_the_int64_limit(self, lam):
+        # 2**k - 1, 2**k, 2**k + 1 up to k = 62: above 2**53 the float of
+        # ceil(num/lam) - 1 rounds, and the frexp exponent must be fixed up
+        nums = [0, 1] + [2**k + d for k in range(1, 63) for d in (-1, 0, 1)]
+        want = [dyadic_class(F(n, lam)) for n in nums]
+        fits = [n for n, w in zip(nums, want) if w <= 2**62]
+        got = _class_batch(np.array(fits, dtype=np.int64), lam)
+        assert got.dtype == np.int64
+        assert got.tolist() == [w for w in want if w <= 2**62]
+        # a class of 2**63 does not fit int64: refused, never wrapped
+        for n in set(nums) - set(fits):
+            with pytest.raises(OverflowError):
+                _class_batch(np.array([n], dtype=np.int64), lam)
+        assert len(fits) == len(nums) - (lam == 1)
 
 
 CLASSIFIER_CASES = [
@@ -237,10 +387,51 @@ class TestClassifier:
                 rows.append(js)
         mat = np.array(rows)
         codes, upsilon, *_ = _classify_batch(mat, 1, P16, DEFAULT_THRESHOLDS)
-        assert upsilon.all()
-        for row, code in zip(rows, codes):
+        want, want_upsilon, *_ = reference_classify_batch(mat, 1, P16, DEFAULT_THRESHOLDS)
+        assert upsilon.all() and want_upsilon.all()
+        assert codes.tolist() == want.tolist()
+        for row, code in zip(rows, want):
             v = classify_resonance(FreqTuple(tuple(int(j) for j in row)), P16)
-            assert v.kind == classify_resonance.__globals__["KIND_NAMES"][code]
+            assert v.kind == KIND_NAMES[code]
+
+    @pytest.mark.parametrize("th", [DEFAULT_THRESHOLDS, SCAN_THRESHOLDS], ids=["default", "scan"])
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_classifier_matches_reference_on_samples(self, th, lam):
+        for N in (1, 16, 64, 1024):
+            js = _sample_tuples(stream(23, lam, N), 4000, N, lam)
+            pN = MultiplierParams(N, 0.5)
+            got = _classify_batch(js, lam, pN, th)
+            assert_same_bits(got, reference_classify_batch(js, lam, pN, th))
+            assert_same_bits([_sort_groups(js)], [reference_sort_groups(js)])
+
+    def test_classifier_matches_reference_on_ties(self):
+        # every sign and order of small magnitudes: v and -v in one group,
+        # zeros, equal magnitude profiles in both groups (the conjugation
+        # swap tie) and all six magnitudes equal
+        small = np.array(list(itertools.product(range(-2, 3), repeat=6)), dtype=np.int64)
+        hand = np.array(
+            [
+                (64, -64, 64, -64, 64, -64),  # all magnitudes equal
+                (-64, 64, -64, 64, -64, 64),
+                (64, 64, -64, -64, 64, 64),
+                (5, -5, -5, 5, 0, 0),  # v and -v in each group, zeros
+                (0, 0, 0, 0, 0, 0),
+                (40, -40, 3, 3, -3, -3),  # same magnitude profile in both groups
+                (-40, 40, 3, -3, -3, 3),
+                (65, -64, 33, 33, -1, 0),
+                (64, -65, 33, 33, 0, -1),  # the even group leads
+            ],
+            dtype=np.int64,
+        )
+        for rows, N in ((small, 1), (small * 33, 16), (hand, 16), (hand, 1)):
+            assert_same_bits([_sort_groups(rows)], [reference_sort_groups(rows)])
+            for th in (DEFAULT_THRESHOLDS, SCAN_THRESHOLDS):
+                for lam in (1, 3):
+                    pN = MultiplierParams(N, 0.5)
+                    got = _classify_batch(rows, lam, pN, th)
+                    assert_same_bits(got, reference_classify_batch(rows, lam, pN, th))
+        codes = _classify_batch(small * 33, 1, P16, SCAN_THRESHOLDS)[0]
+        assert set(codes.tolist()) >= {0, 1, 2, 5}  # the ties reach the cases
 
     def test_wider_thresholds_only_grow_the_resonant_set(self):
         rng = stream(22, 3)
@@ -419,6 +610,45 @@ class TestLambdaForms:
         for odd in (other_support, other_lam):
             with pytest.raises(ValueError):
                 energy_e1i([states[0], odd], P4)
+
+
+ENUM_SUPPORTS = [
+    (5,),
+    (0, 3, 7),
+    (-6, -1, 0, 4, 9),
+    tuple(range(-4, 5)),
+    (-30, -26, -20, -19, -17, -12, -9, 0, 18, 20, 25, 32),
+]
+
+
+class TestZeroSumEnumeration:
+    @pytest.mark.parametrize("support", ENUM_SUPPORTS, ids=lambda s: f"{len(s)}-modes")
+    def test_arity6_matches_reference(self, support):
+        S = np.array(support, dtype=np.int64)
+        got = enumerate_all(_zero_sum_chunks([S] * 6))
+        assert_same_bits(got, enumerate_all(reference_zero_sum_chunks([S] * 6)))
+        assert len(got[2]) > 0
+
+    def test_arity2_and_mixed_supports_match_reference(self):
+        # energy_e1i's sigma2 table, and a table whose slots draw from
+        # different states' supports
+        S = np.array(ENUM_SUPPORTS[3], dtype=np.int64)
+        mixed = [np.array(s, dtype=np.int64) for s in ((0, 3, 7), (-2, 3), (-6, -1, 0, 4, 9), (1,), (0, 3, 7), (-4, 0, 4))]
+        for supports in ([S] * 2, mixed):
+            got = enumerate_all(_zero_sum_chunks(supports))
+            assert_same_bits(got, enumerate_all(reference_zero_sum_chunks(supports)))
+            assert len(got[2]) > 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 9**3])
+    def test_blocks_do_not_change_bits(self, monkeypatch, chunk):
+        # small _CHUNK fixes the slow slots per block; blocks come in the
+        # unblocked order, so the concatenation is the same bits
+        cases = [[np.array(ENUM_SUPPORTS[3], dtype=np.int64)] * 6, [np.array(ENUM_SUPPORTS[2], dtype=np.int64)] * 2]
+        want = [enumerate_all(reference_zero_sum_chunks(c)) for c in cases]
+        monkeypatch.setattr(symbols, "_CHUNK", chunk)
+        for case, w in zip(cases, want):
+            assert_same_bits(enumerate_all(_zero_sum_chunks(case)), w)
+        assert len(list(_zero_sum_chunks(cases[0]))) > 1
 
 
 class TestSupportAudit:
