@@ -228,10 +228,12 @@ def _run_strichartz_scan(q: dict, seed: int):
 def _run_trilinear_scan(q: dict, seed: int):
     names = [n for n, _ in standard_geometries(q["lam_list"][0])]
     chosen = names if q["geometry"] == "all" else [q["geometry"]]
-    rows, slopes = [], {}
+    rows, slopes, triples, counted = [], {}, {}, {}
     for name in chosen:
         rep = normalized_sup_trend(name, q["lam_list"], box_cap=q["box_cap"])
         slopes[name] = rep.slope
+        triples[name] = {str(pt.lam): pt.triples for pt in rep.points}
+        counted[name] = {str(pt.lam): pt.counted for pt in rep.points}
         for pt in rep.points:
             rows.append(
                 {
@@ -243,7 +245,7 @@ def _run_trilinear_scan(q: dict, seed: int):
                     "arg_tau": "" if pt.arg_tau is None else str(pt.arg_tau),
                 }
             )
-    return rows, {"slopes": slopes}
+    return rows, {"slopes": slopes, "triples": triples, "counted": counted}
 
 
 def _run_symbol_bound_scan(q: dict, seed: int):

@@ -36,6 +36,8 @@ _TAU = math.tau
 #: Mode-count caps for exact hyperplane sums, keyed by arity.
 GAMMA_MODE_CAPS = {6: 12}
 
+_INT64_MAX = (1 << 63) - 1
+
 #: Candidate tuples per enumeration block (at least one slot's modes);
 #: bounds the transient partial-sum arrays.
 _CHUNK = 1 << 21
@@ -292,8 +294,19 @@ def _classify_batch(
     Cases (ii) need the top four classes at four given slots; as multisets,
     that holds exactly when the classes at the other two slots are
     {scls[:, 4], scls[:, 5]}, which one max/min pair decides.
+
+    Every int64 product below is exact or the batch is refused: with
+    M = max |js|, the products k1*k2, a*v and the pair term
+    |k1+k2||k1-k2| = |k1^2 - k2^2| are at most M^2, every class formed is at
+    most the class of 2M/lam, and the window cap of case (i) saturates
+    where it would leave int64.  A batch with M^2 or a threshold times that
+    class above the int64 range raises OverflowError.
     """
     js = np.asarray(js, dtype=np.int64)
+    top = max(int(js.max(initial=0)), -int(js.min(initial=0)))
+    top_cls = dyadic_class(Fraction(2 * top, lam))
+    if top * top > _INT64_MAX or max(th.c_sim, th.c_gg) * top_cls > _INT64_MAX:
+        raise OverflowError(f"frequency magnitude {top} out of the classifier's int64 range")
     can = _sort_groups(js)
     mags = np.abs(can)
     cls = _class_batch(mags, lam)
@@ -307,15 +320,21 @@ def _classify_batch(
     # (i): two giants nearly cancelling, everything else far below.  The
     # window compares the pair term |k1+k2||k1-k2| of the phase gap directly
     # against the (N3*)^2 cap on the remaining square sum; the gap can only
-    # collapse when the pair term fits under that cap.
-    sum12 = np.abs(k1 + k2)
-    diff12 = np.abs(k1 - k2)
+    # collapse when the pair term fits under that cap.  Where the cap
+    # c_window lam^2 (N3*)^2 would leave int64 it exceeds every pair term, so
+    # N3* is clamped at the largest value that keeps the cap in range.
+    q = th.c_window * lam * lam
+    s_max = math.isqrt(_INT64_MAX // q)
+    s3 = scls[:, 2]
+    window = s3 > s_max
+    if s_max:
+        window |= np.abs(k1 + k2) * np.abs(k1 - k2) <= q * np.minimum(s3, s_max) ** 2
     case_i = (
         th.sim(scls[:, 0], scls[:, 1])
         & th.sim(scls[:, 2], scls[:, 3])
         & th.gg(scls[:, 0], scls[:, 2])
         & (k1 * k2 < 0)
-        & (sum12 * diff12 <= th.c_window * lam**2 * scls[:, 2] ** 2)
+        & window
     )
 
     gate_ii = th.sim(scls[:, 0], scls[:, 3]) & th.gg(scls[:, 0], scls[:, 4])
@@ -403,22 +422,12 @@ def _sigma2_batch(js: np.ndarray, lam: int, p: MultiplierParams) -> np.ndarray:
     return -0.5 * m[:, 0] * k[:, 0] * m[:, 1] * k[:, 1]
 
 
-def _alt_m2k2(js: np.ndarray, lam: int, p: MultiplierParams) -> np.ndarray:
-    k = js / lam
-    m = _m_batch(np.abs(k), p)
-    return (m * m * k * k) @ _ALT6
-
-
 def _omega_int(js: np.ndarray) -> np.ndarray:
     # integer alternating square sum: exact zero tests
     j = np.asarray(js, dtype=np.int64)
     return (
         j[:, 0] ** 2 - j[:, 1] ** 2 + j[:, 2] ** 2 - j[:, 3] ** 2 + j[:, 4] ** 2 - j[:, 5] ** 2
     )
-
-
-def _prod_m(js: np.ndarray, lam: int, p: MultiplierParams) -> np.ndarray:
-    return _m_batch(np.abs(js / lam), p).prod(axis=1)
 
 
 def _symbol_batch(
@@ -440,9 +449,12 @@ def _symbol_batch(
     js = np.asarray(js, dtype=np.int64)
     if symbol_id == "sigma2":
         return _sigma2_batch(js, lam, p)
+    # one multiplier evaluation serves sigma6, M6_1 and the product in M6
+    k = js / lam
+    m = _m_batch(np.abs(k), p)
     if symbol_id == "sigma6":
-        return sign * _prod_m(js, lam, p) / 6.0
-    m6_1 = _alt_m2k2(js, lam, p) / 6.0
+        return sign * m.prod(axis=1) / 6.0
+    m6_1 = ((m * m * k * k) @ _ALT6) / 6.0
     if symbol_id == "M6_1":
         return m6_1
     oint = _omega_int(js)
@@ -453,7 +465,7 @@ def _symbol_batch(
         return 6.0 * m6_1 / omega
     # dividing by 6 last keeps M6 bitwise zero below the cutoff, where the
     # product of multipliers is exactly 1 and the two terms must cancel
-    m6 = m6_1 - _prod_m(js, lam, p) * omega / 6.0
+    m6 = m6_1 - m.prod(axis=1) * omega / 6.0
     if symbol_id == "M6":
         return m6
     codes, upsilon = _classify_batch(js, lam, p, th)[:2] if verdicts is None else verdicts

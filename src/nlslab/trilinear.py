@@ -129,25 +129,74 @@ def _check_box(spec: TrilinearSpec, box_cap: int) -> None:
         raise CapExceededError(f"candidate grid {pairs} exceeds cap {box_cap}")
 
 
-def _shell_values(spec: TrilinearSpec, ln: int) -> np.ndarray:
-    """Sorted S = i1^2+i2^2+i3^2 over the admissible triples with scaled sum ln.
+def _gap_free(lo: int, hi: int, g: int) -> bool:
+    """Whether every integer x in [lo, hi] has |x| >= g."""
+    return g <= 0 or lo >= g or hi <= -g
+
+
+def _shell_values(spec: TrilinearSpec, ln: int) -> tuple[np.ndarray, int]:
+    """Sorted S = i1^2+i2^2+i3^2 over the admissible triples with scaled sum
+    ln, and the number of box triples with that sum.
 
     Admissible means i1 in I1, i2 in I2, i3 = ln - i1 - i2 in I3 and both
-    separation gaps met.  The arrays are int64 while every S fits with room
-    to spare and Python ints (dtype=object) beyond, so S is exact at any size.
+    separation gaps met.  For fixed i1, i3 in I3 is the band
+    i2 in [max(a2, ln - i1 - b3), min(b2, ln - i1 - a3)], so only the box
+    triples with sum ln are enumerated: one ragged band per i1, laid out by
+    one repeat and one arange.  The bounds are taken as offsets from
+    (a1, a2), with ln - b3 and ln - a3 clamped in Python ints to the range
+    where a change can still move a band; every offset is then at most the
+    box side, so nothing wraps in int64 however large the endpoints.  The
+    gap masks run unless interval arithmetic on the range each index takes
+    at this sum shows that every band triple meets both gaps.  The arrays
+    are int64 while every S fits with room to spare and Python ints
+    (dtype=object) beyond, so S is exact at any size.
     """
     (a1, b1), (a2, b2), (a3, b3) = spec.i1, spec.i2, spec.i3
     big = max(abs(a1), abs(b1), abs(a2), abs(b2), abs(ln) + abs(a1) + abs(b1) + abs(a2) + abs(b2))
     dtype = np.int64 if 3 * big * big < 1 << 62 else object
-    i1 = np.arange(a1, b1 + 1, dtype=dtype)[:, None]
-    i2 = np.arange(a2, b2 + 1, dtype=dtype)[None, :]
-    i3 = ln - i1 - i2
-    ok = (i3 >= a3) & (i3 <= b3)
-    # |i - i3| is an integer, so |i - i3| >= N*lam iff it is >= ceil(N*lam)
-    ok &= np.abs(i1 - i3) >= math.ceil(spec.n13 * spec.lam)
-    ok &= np.abs(i2 - i3) >= math.ceil(spec.n23 * spec.lam)
-    S = i1 * i1 + i2 * i2 + i3 * i3
-    return np.sort(S[ok])
+    l1, l2 = b1 - a1, b2 - a2
+    # band of row x = i1 - a1: offsets y = i2 - a2 in [max(0, c - x), min(l2, d - x)]
+    c = min(max(ln - b3 - a1 - a2, 0), l1 + l2 + 1)
+    d = min(max(ln - a3 - a1 - a2, -1), l1 + l2)
+    x = np.arange(l1 + 1)
+    lo = np.maximum(c - x, 0)
+    width = np.maximum(np.minimum(d - x, l2) - lo + 1, 0)
+    total = int(width.sum())
+    i2 = np.arange(total)
+    i2 += np.repeat(lo - (np.cumsum(width) - width), width)
+    i1 = np.repeat(x, width)
+    if dtype is object:
+        i1, i2 = i1.astype(object), i2.astype(object)
+    i1 += a1
+    i2 += a2
+    i3 = ln - i1
+    i3 -= i2
+    # at this sum ik runs over [lok, hik]; |i - i3| is an integer, so
+    # |i - i3| >= N*lam iff it is >= ceil(N*lam)
+    lo1, hi1 = max(a1, ln - b2 - b3), min(b1, ln - a2 - a3)
+    lo2, hi2 = max(a2, ln - b1 - b3), min(b2, ln - a1 - a3)
+    lo3, hi3 = max(a3, ln - b1 - b2), min(b3, ln - a1 - a2)
+    g13, g23 = math.ceil(spec.n13 * spec.lam), math.ceil(spec.n23 * spec.lam)
+    masked = total > 0 and not (
+        _gap_free(lo1 - hi3, hi1 - lo3, g13) and _gap_free(lo2 - hi3, hi2 - lo3, g23)
+    )
+    if masked:
+        gap = i1 - i3
+        np.abs(gap, out=gap)
+        ok = gap >= g13
+        np.subtract(i2, i3, out=gap)
+        np.abs(gap, out=gap)
+        ok &= gap >= g23
+    S = i1
+    S *= S
+    i2 *= i2
+    i3 *= i3
+    S += i2
+    S += i3
+    if masked:
+        S = S[ok]
+    S.sort()
+    return S, total
 
 
 def count_A_set(
@@ -171,7 +220,7 @@ def count_A_set(
     tau, lam2 = Fraction(tau), spec.lam * spec.lam
     lo = math.ceil((tau - spec.c_tol) * lam2)
     hi = math.floor((tau + spec.c_tol) * lam2)
-    s = _shell_values(spec, int(ln))
+    s = _shell_values(spec, int(ln))[0]
     return int(np.searchsorted(s, hi, side="right") - np.searchsorted(s, lo, side="left"))
 
 
@@ -187,6 +236,8 @@ class SupReport:
     normalized: float
     k_value: Fraction
     gap_scale: Fraction  # max(N13, N23), the normalization gap
+    triples: int  # box triples enumerated, summed over n
+    counted: int  # shell positions whose window was counted exactly
 
 
 def _box_shell_min(spec: TrilinearSpec) -> int:
@@ -194,14 +245,50 @@ def _box_shell_min(spec: TrilinearSpec) -> int:
     return sum(0 if a <= 0 <= b else min(a * a, b * b) for a, b in (spec.i1, spec.i2, spec.i3))
 
 
+#: Spacing of the anchor positions in the densest-window search.
+_ANCHOR_STEP = 16
+
+
+def _densest_window(s: np.ndarray, width) -> tuple[int, int, int]:
+    """(count, r, counted) for sorted integers s: count is the largest number
+    of values in a window [s[r] - width, s[r]], r the first position that
+    attains it, and counted the positions whose window was counted exactly.
+
+    With first[r] the first position at or above s[r] - width, the window at
+    r holds r + 1 - first[r] values, and first is nondecreasing.  Only the
+    anchors r = 0, K, 2K, ... are searched first: each anchor's count is a
+    lower bound on the maximum, and min(r + K, len(s)) - first[r] bounds every
+    count in the block [r, r + K) from above.  Only the blocks whose upper
+    bound reaches the best anchor count are counted exactly.  Every position
+    that attains the maximum lies in such a block, so the maximum and its
+    first position are exactly those of the full search.
+    """
+    n = len(s)
+    anchors = np.arange(0, n, _ANCHOR_STEP)
+    first = np.searchsorted(s, s[anchors] - width, side="left")
+    upper = np.minimum(anchors + _ANCHOR_STEP, n) - first
+    kept = anchors[upper >= (anchors + 1 - first).max()]
+    r = (kept[:, None] + np.arange(_ANCHOR_STEP)).ravel()
+    r = r[r < n]
+    cnt = r + 1 - np.searchsorted(s, s[r] - width, side="left")
+    i = int(np.argmax(cnt))
+    return int(cnt[i]), int(r[i]), len(r)
+
+
 def sup_count_A(spec: TrilinearSpec, *, box_cap: int = DEFAULT_BOX_CAP) -> SupReport:
     """Supremum of |A(n, tau)| over every integer n and every rational tau.
 
-    n runs over every integer whose scaled sum the box can reach.  For fixed
-    n the sup over tau is exact: a window |lam^2 tau - S| <= lam^2 c_tol
-    slides over the sorted integer shell values, and the densest one is
-    found by a two-pointer pass.  The witness tau has lam^2 tau an integer.
-    The normalized value divides by lam^2 K / max(N13, N23) + lam.
+    n runs over every integer whose scaled sum the box can reach, in
+    ascending order, and enumerates only the triples with that sum (see
+    ``_shell_values``).  For fixed n the sup over tau is exact: a window
+    |lam^2 tau - S| <= lam^2 c_tol slides over the sorted integer shell
+    values, and the densest one is found by the pruned search of
+    ``_densest_window``, which returns the same count and the same first
+    position as counting the window at every position.  The witness tau has
+    lam^2 tau an integer; ties go to the smallest n, then the smallest shell
+    position.  The normalized value divides by lam^2 K / max(N13, N23) + lam.
+    ``triples`` and ``counted`` report the work: the box triples enumerated
+    and the shell positions counted exactly after pruning.
     """
     gain = enhanced_gain_K(spec)
     gap = max(spec.n13, spec.n23)
@@ -216,17 +303,17 @@ def sup_count_A(spec: TrilinearSpec, *, box_cap: int = DEFAULT_BOX_CAP) -> SupRe
     # the densest width-2w window of integers is centered at an integer
     w = math.floor(spec.c_tol * lam * lam)
     s_lo = _box_shell_min(spec)
-    best = 0
+    best = triples = counted = 0
     arg: tuple[Optional[Fraction], Optional[Fraction]] = (None, None)
     for n in range(-((-lo) // lam), hi // lam + 1):
-        s = _shell_values(spec, n * lam)
+        s, enumerated = _shell_values(spec, n * lam)
+        triples += enumerated
         if len(s) == 0:
             continue
-        first = np.searchsorted(s, s - 2 * w, side="left")
-        cnt = np.arange(1, len(s) + 1) - first
-        r = int(np.argmax(cnt))
-        if cnt[r] > best:
-            best = int(cnt[r])
+        cnt, r, k = _densest_window(s, 2 * w)
+        counted += k
+        if cnt > best:
+            best = cnt
             arg = (Fraction(n), Fraction(max(int(s[r]) - w, s_lo), lam * lam))
 
     return SupReport(
@@ -236,6 +323,8 @@ def sup_count_A(spec: TrilinearSpec, *, box_cap: int = DEFAULT_BOX_CAP) -> SupRe
         normalized=best / denom,
         k_value=gain.k_value,
         gap_scale=gap,
+        triples=triples,
+        counted=counted,
     )
 
 
@@ -360,6 +449,8 @@ class TrendPoint:
     normalized: float
     arg_n: Optional[Fraction]
     arg_tau: Optional[Fraction]
+    triples: int
+    counted: int
 
 
 @dataclass(frozen=True)
@@ -383,7 +474,9 @@ def normalized_sup_trend(
         spec = dict(standard_geometries(lam))[geometry]
         rep = sup_count_A(spec, box_cap=box_cap)
         points.append(
-            TrendPoint(lam, rep.sup, rep.normalized, rep.arg_n, rep.arg_tau)
+            TrendPoint(
+                lam, rep.sup, rep.normalized, rep.arg_n, rep.arg_tau, rep.triples, rep.counted
+            )
         )
     slope = float(
         np.polyfit(np.log([p.lam for p in points]), [p.normalized for p in points], 1)[0]

@@ -22,6 +22,25 @@ ANNULUS_CSV_GOLDEN = (
 )
 
 
+#: trilinear-scan at its default config, as computed by the full-grid
+#: enumeration with a window search at every shell position.
+TRILINEAR_CSV_GOLDEN = (
+    "geometry,lam,sup,normalized,arg_n,arg_tau\n"
+    "separated,8,11,0.5288461538461539,22,291\n"
+    "separated,16,37,0.550595238095238,22,37309/128\n"
+    "separated,32,137,0.5785472972972973,22,149357/512\n"
+    "separated,64,535,0.6057518115942029,23,634745/2048\n"
+    "enhanced,8,2,0.23371880706025563,73,135791/32\n"
+    "enhanced,16,3,0.16457142857142856,73,135791/32\n"
+    "enhanced,32,7,0.1710794297352342,73,2138187/512\n"
+    "enhanced,64,24,0.24080267558528426,77,8736723/2048\n"
+    "comparable,8,18,0.6136363636363636,32,4531/8\n"
+    "comparable,16,59,0.5822368421052632,31,67129/128\n"
+    "comparable,32,221,0.5919642857142857,31,269307/512\n"
+    "comparable,64,862,0.6030783582089553,31,67187/128\n"
+)
+
+
 def run_cli(tmp_path, args, config=None):
     """Invoke main() with an optional config dict; returns (rc, out_path)."""
     out = tmp_path / "report.out"
@@ -140,6 +159,18 @@ class TestValidation:
         rc, _ = run_cli(tmp_path, ["h-spectrum"], config={"N": 32})
         assert rc == 3
         assert "cap" in capsys.readouterr().err
+
+    def test_trilinear_box_cap_refusal(self, tmp_path, capsys):
+        # comparable at lam = 1024 has a 4097 x 4097 candidate grid, above
+        # the default 10M cap; lam = 512 (2049 x 2049) is within it
+        rc, out = run_cli(
+            tmp_path,
+            ["trilinear-scan"],
+            config={"geometry": "comparable", "lam_list": [8, 1024]},
+        )
+        assert rc == 3
+        assert "cap" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_energy_track_cap_refusal(self, tmp_path, capsys, monkeypatch):
         # 13 modes exceed the arity-6 cap of the flow identity's tables; the
@@ -314,6 +345,17 @@ class TestExperiments:
         doc = json.loads(out.read_text())
         assert [r["lam"] for r in doc["rows"]] == [8, 16]
         assert "separated" in doc["meta"]["slopes"]
+
+    def test_trilinear_default_rows_and_work(self, tmp_path):
+        rc, out = run_cli(tmp_path, ["trilinear-scan", "--format", "csv"])
+        assert rc == 0
+        assert out.read_text() == TRILINEAR_CSV_GOLDEN
+        doc = cli.run_experiment("trilinear-scan", {}, 0, 1)
+        triples, counted = doc["meta"]["triples"], doc["meta"]["counted"]
+        lams = ["8", "16", "32", "64"]
+        for name in ("separated", "enhanced", "comparable"):
+            assert list(triples[name]) == lams and list(counted[name]) == lams
+            assert all(0 < counted[name][k] <= triples[name][k] for k in lams)
 
     def test_console_script(self):
         proc = subprocess.run(

@@ -433,6 +433,28 @@ class TestClassifier:
         codes = _classify_batch(small * 33, 1, P16, SCAN_THRESHOLDS)[0]
         assert set(codes.tolist()) >= {0, 1, 2, 5}  # the ties reach the cases
 
+    def test_int64_range_is_checked(self):
+        # (a, -a, 2, -1, -1, 0) is case (i) at every a; at a = 2**32 the
+        # product k1*k2 = -2**64 once wrapped to 0 and read NonResonant.
+        # 3037000499 is the largest a whose square fits int64.
+        for a in (64, 2**20, 2**31, 3037000499):
+            assert classify_resonance(FreqTuple((a, -a, 2, -1, -1, 0)), P16).kind == "Resonant-i"
+        for a in (3037000500, 2**32):
+            with pytest.raises(OverflowError):
+                classify_resonance(FreqTuple((a, -a, 2, -1, -1, 0)), P16)
+        rows = np.array([(64, -64, 2, -1, -1, 0), (2**32, -(2**32), 2, -1, -1, 0)])
+        with pytest.raises(OverflowError):  # one out-of-range row refuses the batch
+            _classify_batch(rows, 1, P16)
+
+    def test_case_i_window_saturates(self):
+        # pair term 4000 * 76000, third class 4096: the window holds for
+        # c_window >= 19, and for c_window >= 2**39 the cap c_window * 4096**2
+        # leaves int64 (it wrapped to -2**63 and to 0 before)
+        js = np.array([(40000, -36000, 4000, -4000, -2000, -2000)], dtype=np.int64)
+        for c, kind in ((4, 0), (19, 1), (2**30, 1), (2**39, 1), (2**40, 1), (2**70, 1)):
+            codes = _classify_batch(js, 1, P16, Thresholds(c_window=c))[0]
+            assert codes.tolist() == [kind]
+
     def test_wider_thresholds_only_grow_the_resonant_set(self):
         rng = stream(22, 3)
         n_flipped = 0
@@ -468,6 +490,21 @@ class TestSymbols:
                     continue
                 t = FreqTuple(tuple(int(j) for j in js), lam)
                 assert evaluate_symbol("M6", t, p) == 0.0
+
+    def test_shared_multiplier_matches_separate_evaluations(self):
+        # sigma6, M6_1 and M6 read one multiplier evaluation; each must equal
+        # the formula with its own evaluation, bit for bit
+        js = _sample_tuples(stream(23, 2), 3000, 256, 2)
+        for p in (P16, MultiplierParams(256, 0.3)):
+            k = js / 2
+            m = symbols._m_batch(np.abs(k), p)
+            m6_1 = ((m * m * k * k) @ symbols._ALT6) / 6.0
+            prod = symbols._m_batch(np.abs(js / 2), p).prod(axis=1)
+            m6 = m6_1 - prod * (_omega_int(js) / 4.0) / 6.0
+            assert_same_bits(
+                [_symbol_batch(s, js, 2, p, sign=-1) for s in ("sigma6", "M6_1", "M6")],
+                [-1 * prod / 6.0, m6_1, m6],
+            )
 
     def test_m6_equals_m6_1_on_gap(self):
         t = FreqTuple((5, -5, 3, -3, 1, -1))  # omega = 0

@@ -18,6 +18,8 @@ from nlslab.trilinear import (
     sup_count_A,
     trilinear_l2_ratio,
     uv_change_of_variables_check,
+    _densest_window,
+    _shell_values,
     _uv_residual,
 )
 
@@ -40,6 +42,190 @@ def count_oracle(spec, n, tau):
             if abs(tau - (n1 * n1 + n2 * n2 + n3 * n3)) <= spec.c_tol:
                 total += 1
     return total
+
+
+# Test-only references: the shell values and the densest window as they were
+# before band enumeration and the pruned window search.  The fast paths must
+# reproduce them bit for bit.
+
+
+def reference_shell_values(spec, ln):
+    """(sorted S, box triples with sum ln) from the full I1 x I2 grid."""
+    (a1, b1), (a2, b2), (a3, b3) = spec.i1, spec.i2, spec.i3
+    big = max(abs(a1), abs(b1), abs(a2), abs(b2), abs(ln) + abs(a1) + abs(b1) + abs(a2) + abs(b2))
+    dtype = np.int64 if 3 * big * big < 1 << 62 else object
+    i1 = np.arange(a1, b1 + 1, dtype=dtype)[:, None]
+    i2 = np.arange(a2, b2 + 1, dtype=dtype)[None, :]
+    i3 = ln - i1 - i2
+    ok = (i3 >= a3) & (i3 <= b3)
+    in_box = int(ok.sum())
+    ok &= np.abs(i1 - i3) >= math.ceil(spec.n13 * spec.lam)
+    ok &= np.abs(i2 - i3) >= math.ceil(spec.n23 * spec.lam)
+    S = i1 * i1 + i2 * i2 + i3 * i3
+    return np.sort(S[ok]), in_box
+
+
+def reference_window(s, width):
+    """(count, first r) of the densest window, searched at every position."""
+    first = np.searchsorted(s, s - width, side="left")
+    cnt = np.arange(1, len(s) + 1) - first
+    r = int(np.argmax(cnt))
+    return int(cnt[r]), r
+
+
+def reference_sup(spec):
+    """(sup, arg_n, arg_tau, per-n maxima) by the reference bodies."""
+    lam = spec.lam
+    lo = sum(iv[0] for iv in (spec.i1, spec.i2, spec.i3))
+    hi = sum(iv[1] for iv in (spec.i1, spec.i2, spec.i3))
+    w = math.floor(spec.c_tol * lam * lam)
+    s_lo = sum(0 if a <= 0 <= b else min(a * a, b * b) for a, b in (spec.i1, spec.i2, spec.i3))
+    best, arg, maxima = 0, (None, None), []
+    for n in range(-((-lo) // lam), hi // lam + 1):
+        s = reference_shell_values(spec, n * lam)[0]
+        if len(s) == 0:
+            continue
+        cnt, r = reference_window(s, 2 * w)
+        maxima.append(cnt)
+        if cnt > best:
+            best, arg = cnt, (F(n), F(max(int(s[r]) - w, s_lo), lam * lam))
+    return best, arg[0], arg[1], maxima
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == object:
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def random_spec(rng, lam, shift=0):
+    starts = rng.integers(-12, 13, size=3) + shift
+    lens = np.sort(rng.integers(0, 8, size=3))
+    iv = [(int(s), int(s + l)) for s, l in zip(starts, lens)]
+    return TrilinearSpec(
+        lam,
+        *iv,
+        n13=F(int(rng.integers(0, 13)), int(rng.integers(1, 4))),
+        n23=F(int(rng.integers(1, 13)), int(rng.integers(1, 4))),
+        c_tol=F(int(rng.integers(1, 9)), int(rng.integers(1, 5))),
+    )
+
+
+class TestBand:
+    def test_band_matches_grid_reference(self):
+        # every scaled sum the box reaches, plus one on each side, on random
+        # boxes with negative endpoints and binding gaps; every fifth box
+        # sits near 2**31, where the shell values leave int64
+        rng = stream(14, 0)
+        bound = emptied = empty = objects = 0
+        for trial in range(150):
+            lam = (1, 3, 4)[trial % 3]
+            spec = random_spec(rng, lam, shift=2**31 if trial % 5 == 4 else 0)
+            lo = sum(iv[0] for iv in (spec.i1, spec.i2, spec.i3))
+            hi = sum(iv[1] for iv in (spec.i1, spec.i2, spec.i3))
+            for ln in range(lo - 1, hi + 2):
+                got, total = _shell_values(spec, ln)
+                want, in_box = reference_shell_values(spec, ln)
+                assert_same_array(got, want)
+                assert total == in_box
+                bound += 0 < len(got) < total
+                emptied += len(got) == 0 < total
+                empty += total == 0
+                objects += got.dtype == object
+        assert bound and emptied and empty and objects
+
+    def test_standard_geometries_match_grid_reference(self):
+        for lam in (4, 8, 16):
+            for _, spec in standard_geometries(lam):
+                lo = sum(iv[0] for iv in (spec.i1, spec.i2, spec.i3))
+                hi = sum(iv[1] for iv in (spec.i1, spec.i2, spec.i3))
+                for n in range(lo // lam - 1, hi // lam + 2):
+                    got, total = _shell_values(spec, n * lam)
+                    want, in_box = reference_shell_values(spec, n * lam)
+                    assert_same_array(got, want)
+                    assert total == in_box
+
+    def test_band_bounds_near_2_62(self):
+        # i1 near -2**62 and i2, i3 near 2**62: ln - i1 - b3 is about 2**63
+        # and would wrap as an int64 band bound.  The count stays exact on
+        # the object path and its witness recounts.
+        big = 2**62
+        spec = TrilinearSpec(
+            1, (-big - 2, -big), (big, big + 3), (big, big + 4), n13=1, n23=2, c_tol=3
+        )
+        lo = sum(iv[0] for iv in (spec.i1, spec.i2, spec.i3))
+        hi = sum(iv[1] for iv in (spec.i1, spec.i2, spec.i3))
+        for ln in range(lo - 1, hi + 2):
+            got, total = _shell_values(spec, ln)
+            want, in_box = reference_shell_values(spec, ln)
+            assert got.dtype == object
+            assert_same_array(got, want)
+            assert total == in_box
+        rep = sup_count_A(spec)
+        sup, arg_n, arg_tau, _ = reference_sup(spec)
+        assert (rep.sup, rep.arg_n, rep.arg_tau) == (sup, arg_n, arg_tau)
+        assert rep.sup > 0
+        assert count_A_set(spec, rep.arg_n, rep.arg_tau) == rep.sup
+        assert count_oracle(spec, rep.arg_n, rep.arg_tau) == rep.sup
+
+
+class TestWindow:
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_pruned_window_matches_full_search(self, dtype):
+        rng = stream(15, 0)
+        for _ in range(300):
+            n = int(rng.integers(1, 120))
+            s = np.sort(rng.integers(0, int(rng.integers(1, 200)), size=n)).astype(dtype)
+            width = int(rng.integers(0, 30))
+            cnt, r, counted = _densest_window(s, width)
+            assert (cnt, r) == reference_window(s, width)
+            assert 1 <= counted <= n
+
+    def test_hand_built_ties(self):
+        cases = [
+            (np.zeros(40, dtype=np.int64), 0),  # one run of equal S
+            (np.arange(100, dtype=np.int64), 3),  # equal counts at every r >= 3
+            (np.repeat(np.arange(0, 500, 50), 7), 10),  # equal runs, equal maxima
+            # two equal clusters; the first one, split by a block edge, wins
+            (np.array([0] * 10 + [5] * 9 + [1000] * 19, dtype=np.int64), 5),
+            (np.array([0] * 17 + [1000] * 17 + [2000] * 16, dtype=np.int64), 0),
+            (np.array([7], dtype=np.int64), 0),
+        ]
+        for s, width in cases:
+            cnt, r, _ = _densest_window(s, width)
+            assert (cnt, r) == reference_window(s, width)
+        # one run of 100 equal values, then 100 isolated ones: only the block
+        # holding the run's end can reach the anchor count 97 at r = 96
+        s = np.concatenate([np.zeros(100), np.arange(1, 101) * 1000]).astype(np.int64)
+        assert _densest_window(s, 0) == (100, 99, 16)
+
+    def test_sup_matches_reference_with_ties_across_n(self):
+        # random boxes, many of them with the same maximum at several n:
+        # the smallest such n and its first shell position must win
+        rng = stream(15, 1)
+        tied = 0
+        for trial in range(60):
+            spec = random_spec(rng, (1, 3, 4)[trial % 3])
+            if max(spec.n13, spec.n23) == 0:
+                continue
+            rep = sup_count_A(spec)
+            sup, arg_n, arg_tau, maxima = reference_sup(spec)
+            assert (rep.sup, rep.arg_n, rep.arg_tau) == (sup, arg_n, arg_tau)
+            tied += sup > 0 and maxima.count(sup) >= 2
+        assert tied > 0
+
+    def test_work_counters(self):
+        spec = dict(standard_geometries(8))["comparable"]
+        rep = sup_count_A(spec)
+        i1, i2, i3 = (np.arange(a, b + 1) for a, b in (spec.i1, spec.i2, spec.i3))
+        sums = (i1[:, None, None] + i2[None, :, None] + i3[None, None, :]).ravel()
+        assert rep.triples == int((sums % spec.lam == 0).sum())
+        admissible = sum(
+            len(reference_shell_values(spec, n * spec.lam)[0]) for n in range(25, 38)
+        )
+        assert 0 < rep.counted <= admissible <= rep.triples
 
 
 class TestCount:
