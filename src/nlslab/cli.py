@@ -249,9 +249,8 @@ def _run_trilinear_scan(q: dict, seed: int):
 
 
 def _run_symbol_bound_scan(q: dict, seed: int):
-    p = MultiplierParams(q["multiplier_N"], q["s"])
     rep = bound_scan_symbols(
-        p,
+        q["s"],
         q["samples"],
         q["N_list"],
         seed,
@@ -420,7 +419,6 @@ EXPERIMENTS = {
         Experiment(
             "symbol-bound-scan",
             (
-                Param("multiplier_N", "int", 16),
                 Param("s", "float", 0.5),
                 Param("samples", "int", 20000),
                 Param("N_list", "ints", [64, 256, 1024], nonempty=True),

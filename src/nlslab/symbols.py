@@ -278,6 +278,23 @@ def _sort_groups(js: np.ndarray) -> np.ndarray:
     return mag.T
 
 
+def _pair_window(k1, k2, s3, lam: int, c_window: int) -> np.ndarray:
+    """|k1+k2||k1-k2| <= c_window lam^2 s3^2, elementwise.
+
+    The window compares the pair term of the phase gap directly against the
+    cap on the remaining square sum, s3 being the dyadic class of N3*.  The
+    pair term equals |k1^2 - k2^2| <= max(k1^2, k2^2), which callers keep in
+    int64.  Where the cap would leave int64 it exceeds every pair term, so s3
+    is clamped at the largest value that keeps the cap in range.
+    """
+    q = c_window * lam * lam
+    s_max = math.isqrt(_INT64_MAX // q)
+    window = s3 > s_max
+    if s_max:
+        window |= np.abs(k1 + k2) * np.abs(k1 - k2) <= q * np.minimum(s3, s_max) ** 2
+    return window
+
+
 def _classify_batch(
     js: np.ndarray,
     lam: int,
@@ -317,24 +334,14 @@ def _classify_batch(
     preamble = th.sim(cls[:, 0], cls[:, 1])
 
     k1, k2 = can[:, 0], can[:, 1]
-    # (i): two giants nearly cancelling, everything else far below.  The
-    # window compares the pair term |k1+k2||k1-k2| of the phase gap directly
-    # against the (N3*)^2 cap on the remaining square sum; the gap can only
-    # collapse when the pair term fits under that cap.  Where the cap
-    # c_window lam^2 (N3*)^2 would leave int64 it exceeds every pair term, so
-    # N3* is clamped at the largest value that keeps the cap in range.
-    q = th.c_window * lam * lam
-    s_max = math.isqrt(_INT64_MAX // q)
-    s3 = scls[:, 2]
-    window = s3 > s_max
-    if s_max:
-        window |= np.abs(k1 + k2) * np.abs(k1 - k2) <= q * np.minimum(s3, s_max) ** 2
+    # (i): two giants nearly cancelling, everything else far below; the gap
+    # can only collapse when the pair term fits under the (N3*)^2 cap.
     case_i = (
         th.sim(scls[:, 0], scls[:, 1])
         & th.sim(scls[:, 2], scls[:, 3])
         & th.gg(scls[:, 0], scls[:, 2])
         & (k1 * k2 < 0)
-        & window
+        & _pair_window(k1, k2, scls[:, 2], lam, th.c_window)
     )
 
     gate_ii = th.sim(scls[:, 0], scls[:, 3]) & th.gg(scls[:, 0], scls[:, 4])
@@ -422,12 +429,30 @@ def _sigma2_batch(js: np.ndarray, lam: int, p: MultiplierParams) -> np.ndarray:
     return -0.5 * m[:, 0] * k[:, 0] * m[:, 1] * k[:, 1]
 
 
+#: Entries below this magnitude square below 2**60, so each sign group of
+#: three squares sums below 2**62 and the int64 alternating sum cannot wrap.
+_SQUARE_SAFE = 1 << 30
+
+
 def _omega_int(js: np.ndarray) -> np.ndarray:
-    # integer alternating square sum: exact zero tests
+    """Integer alternating square sum per row, exact: exact zero tests.
+
+    Rows with an entry of magnitude 2**30 or more are summed again in Python
+    integers; a batch is refused with OverflowError only when one of those
+    sums leaves int64.
+    """
     j = np.asarray(js, dtype=np.int64)
-    return (
-        j[:, 0] ** 2 - j[:, 1] ** 2 + j[:, 2] ** 2 - j[:, 3] ** 2 + j[:, 4] ** 2 - j[:, 5] ** 2
-    )
+    out = j[:, 0] ** 2 - j[:, 1] ** 2 + j[:, 2] ** 2 - j[:, 3] ** 2 + j[:, 4] ** 2 - j[:, 5] ** 2
+    if max(int(j.max(initial=0)), -int(j.min(initial=0))) >= _SQUARE_SAFE:
+        rows = np.flatnonzero(((j >= _SQUARE_SAFE) | (j <= -_SQUARE_SAFE)).any(axis=1))
+        wide = j[rows].astype(object) ** 2
+        exact = wide[:, 0::2].sum(axis=1) - wide[:, 1::2].sum(axis=1)
+        for r, v in zip(rows, exact):
+            if not -_INT64_MAX - 1 <= v <= _INT64_MAX:
+                row = tuple(int(x) for x in j[r])
+                raise OverflowError(f"phase gap {v} of {row} out of int64 range")
+        out[rows] = exact.astype(np.int64)
+    return out
 
 
 def _symbol_batch(
@@ -457,6 +482,11 @@ def _symbol_batch(
     m6_1 = ((m * m * k * k) @ _ALT6) / 6.0
     if symbol_id == "M6_1":
         return m6_1
+    if symbol_id in ("M6bar", "sigma6tilde"):
+        codes, upsilon = _classify_batch(js, lam, p, th)[:2] if verdicts is None else verdicts
+        m6bar = np.where(upsilon & (codes > 0), m6_1, 0.0)
+        if symbol_id == "M6bar":
+            return m6bar
     oint = _omega_int(js)
     omega = oint / float(lam * lam)
     if symbol_id == "quotient":
@@ -468,10 +498,6 @@ def _symbol_batch(
     m6 = m6_1 - m.prod(axis=1) * omega / 6.0
     if symbol_id == "M6":
         return m6
-    codes, upsilon = _classify_batch(js, lam, p, th)[:2] if verdicts is None else verdicts
-    m6bar = np.where(upsilon & (codes > 0), m6_1, 0.0)
-    if symbol_id == "M6bar":
-        return m6bar
     if symbol_id == "sigma6tilde":
         m6tilde = m6 - m6bar
         zero = oint == 0
@@ -807,7 +833,7 @@ SCAN_THRESHOLDS = Thresholds(c_sim=4, c_gg=4, c_window=4)
 
 
 def bound_scan_symbols(
-    p: MultiplierParams,
+    s: float,
     sample_count: int,
     N_list: Sequence[int],
     seed: int = 0,
@@ -818,10 +844,12 @@ def bound_scan_symbols(
 ) -> BoundScanReport:
     """Measured symbol sizes against their claimed envelopes.
 
-    Per cutoff: (a) max |sigma6tilde| over sampled nonresonant tuples divided
-    by the pointwise envelope, (b) max |M6bar| over sampled resonant tuples
-    against each applicable interaction-geometry envelope, (c) the operator
-    ratio |Lambda_6(sigma6tilde)| / ||I u||_{H^1}^6 on random states.
+    Each N in ``N_list`` is a multiplier cutoff: the symbols at that N use
+    MultiplierParams(N, s).  Per cutoff: (a) max |sigma6tilde| over sampled
+    nonresonant tuples divided by the pointwise envelope, (b) max |M6bar|
+    over sampled resonant tuples against each applicable interaction-geometry
+    envelope, (c) the operator ratio |Lambda_6(sigma6tilde)| / ||I u||_{H^1}^6
+    on random states.
 
     Classification inside the scan runs at SCAN_THRESHOLDS, once per cutoff
     outside the operator leg: (a) and (b) read sigma6tilde and M6bar off
@@ -842,7 +870,7 @@ def bound_scan_symbols(
     records: list[BoundScanRecord] = []
     work: list[tuple[int, int, int]] = []
     for N in N_list:
-        pN = MultiplierParams(int(N), p.s)
+        pN = MultiplierParams(int(N), s)
         rng = stream(seed, 31, int(N))
         js = _sample_tuples(rng, sample_count, int(N), lam)
         codes, upsilon, can, cls, scls = _classify_batch(js, lam, pN, th)
@@ -850,22 +878,25 @@ def bound_scan_symbols(
 
         nonres = upsilon & (codes == 0)
         om = _omega_int(js[nonres])
-        # M6bar is 0 off the resonant set: sigma6tilde = M6 / Omega, 0 where Omega = 0
-        m6 = _symbol_batch("M6", js[nonres], lam, pN)
-        vals = np.divide(m6, om / float(lam * lam), out=np.zeros_like(m6), where=om != 0)
+        vals = _symbol_batch(  # 0 where Omega = 0
+            "sigma6tilde", js[nonres], lam, pN, on_gap="zero", verdicts=(codes[nonres], upsilon[nonres])
+        )
         sub_cls, sub_scls = cls[nonres], scls[nonres]
         narrow = (
             th.sim(sub_cls[:, 0], sub_cls[:, 1])
             & th.gg(sub_scls[:, 0], sub_scls[:, 2])
             & th.sim(sub_scls[:, 2], sub_scls[:, 3])
         )
-        envelope = np.where(
-            narrow,
-            mN(sub_scls[:, 2]) ** 2,
-            mN(sub_scls[:, 0]) * mN(sub_scls[:, 2]),
-        )
+        m3 = mN(sub_scls[:, 2])
+        envelope = np.where(narrow, m3**2, mN(sub_scls[:, 0]) * m3)
         ratio = np.abs(vals) / envelope
-        collapsed = th.c_window * np.abs(om) < lam**2 * sub_scls[:, 2] ** 2
+        # c_window |Omega| < lam^2 (N3*)^2; at large N either side can leave
+        # int64, and the comparison then runs on Python integers
+        s3 = sub_scls[:, 2]
+        top = max(int(om.max(initial=0)), -int(om.min(initial=0)))
+        if th.c_window * top > _INT64_MAX or lam * lam * int(s3.max(initial=0)) ** 2 > _INT64_MAX:
+            om, s3 = om.astype(object), s3.astype(object)
+        collapsed = th.c_window * np.abs(om) < lam**2 * s3**2
         clear = ratio[~collapsed]
         shadow = ratio[collapsed]
         records.append(
@@ -882,29 +913,26 @@ def bound_scan_symbols(
 
         res = upsilon & (codes > 0)
         jr, cr, sr = can[res], cls[res], scls[res]
-        barvals = np.abs(_symbol_batch("M6_1", js[res], lam, pN))  # M6bar on this set
+        barvals = np.abs(_symbol_batch("M6bar", js[res], lam, pN, verdicts=(codes[res], upsilon[res])))
+        big = mN(sr[:, 0]) * sr[:, 0]  # m(N1*) N1*, shared by the bounds of (i), (iii), (iv)
         sum12 = np.abs(jr[:, 0] + jr[:, 1])
-        diff12 = np.abs(jr[:, 0] - jr[:, 1])
         sum34 = np.abs(jr[:, 2] + jr[:, 3])
         n12, n34 = _class_batch(sum12, lam), _class_batch(sum34, lam)
         cases = {
-            "i": (th.sim(sr[:, 0], sr[:, 1]), mN(sr[:, 0]) * sr[:, 0] * mN(sr[:, 2]) * sr[:, 2]),
+            "i": (th.sim(sr[:, 0], sr[:, 1]), big * mN(sr[:, 2]) * sr[:, 2]),
             "ii": (
                 th.sim(np.minimum(cr[:, 0], cr[:, 1]), sr[:, 0])
                 & th.gg(sr[:, 0], sr[:, 2])
                 & th.sim(sr[:, 2], sr[:, 3])
-                & (sum12 * diff12 <= th.c_window * lam**2 * sr[:, 2] ** 2),
+                & _pair_window(jr[:, 0], jr[:, 1], sr[:, 2], lam, th.c_window),
                 sr[:, 2].astype(np.float64) ** 2,
             ),
             "iii": (
                 np.maximum(sum12, sum34) <= th.c_sim * lam * sr[:, 4],
-                mN(sr[:, 0]) * sr[:, 0] * mN(sr[:, 4]) * sr[:, 4],
+                big * mN(sr[:, 4]) * sr[:, 4],
             ),
             # N1 >~ |k1 + k2| needs no test: canonical order has |k2| <= |k1|
-            "iv": (
-                th.sim(n12, n34) & th.gg(n12, sr[:, 4]),
-                mN(sr[:, 0]) * sr[:, 0] * mN(n12) * n12,
-            ),
+            "iv": (th.sim(n12, n34) & th.gg(n12, sr[:, 4]), big * mN(n12) * n12),
         }
         for name, (mask, bound) in cases.items():
             r = barvals[mask] / bound[mask]

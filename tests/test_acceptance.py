@@ -281,8 +281,7 @@ def test_c09_symbol_envelope_ratios_stable_across_N():
     per-case bounds: max ratios spread by less than a factor 2 over
     N in {64, 256, 1024} at 1e5 samples each."""
     t0 = time.perf_counter()
-    p = MultiplierParams(16, 0.5)
-    rep = bound_scan_symbols(p, 100_000, [64, 256, 1024], seed=7)
+    rep = bound_scan_symbols(0.5, 100_000, [64, 256, 1024], seed=7)
     kinds = {}
     for r in rep.records:
         kinds.setdefault(r.kind, {})[r.N] = r.max_ratio

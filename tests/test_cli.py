@@ -187,10 +187,13 @@ class TestValidation:
         assert "cap" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_symbol_bound_scan_has_no_sign(self, tmp_path, capsys):
-        rc, _ = run_cli(tmp_path, ["symbol-bound-scan"], config={"sign": -1})
+    # neither reaches a row: the scanned symbols do not depend on the sign,
+    # and the cutoffs are the N_list values
+    @pytest.mark.parametrize("name,value", [("sign", -1), ("multiplier_N", 16)], ids=["sign", "multiplier_N"])
+    def test_symbol_bound_scan_rejects_dead_fields(self, tmp_path, capsys, name, value):
+        rc, _ = run_cli(tmp_path, ["symbol-bound-scan"], config={name: value})
         assert rc == 2
-        assert "symbol-bound-scan.sign: unknown parameter" in capsys.readouterr().err
+        assert f"symbol-bound-scan.{name}: unknown parameter" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "experiment,config,name",
@@ -228,6 +231,81 @@ class TestValidation:
         with pytest.raises(SystemExit) as ei:
             main(["annulus-count", "--format", "xml"])
         assert ei.value.code == 2
+
+
+#: Per experiment, a tiny base config and one perturbed value for each of its
+#: declared settings.
+PERTURBATIONS = {
+    "annulus-count": (
+        {},
+        {"form": "square", "center_x": "1/2", "center_y": "1/3", "r1sq": 100, "r2sq": 300, "bounds": "closed-open"},
+    ),
+    "hypothesis-scan": (
+        {"N_list": [16], "k_random": 1},
+        {"alpha": 0.5, "N_list": [32], "k_random": 2, "include_adversarial": False},
+    ),
+    "reduction-verify": (
+        {"n_min": -3, "n_max": 3, "K_list": [1, 2], "radius_cap": 100, "spot_checks": 2},
+        {"n_min": -4, "n_max": 4, "K_list": [1, 2, 4], "radius_cap": 50, "spot_checks": 3},
+    ),
+    "h-spectrum": (
+        {"N": 4, "profile": "random"},
+        {"N": 8, "profile": "constant", "alpha": 0.5, "n_cap": 3},
+    ),
+    "strichartz-scan": (
+        {"N_list": [4], "n_random": 1},
+        {"alpha": 0.5, "N_list": [8], "n_random": 2, "include_constant": False},
+    ),
+    "trilinear-scan": (
+        {"geometry": "separated", "lam_list": [8, 16]},
+        {"geometry": "enhanced", "lam_list": [8, 32], "box_cap": 10},
+    ),
+    "symbol-bound-scan": (
+        {"samples": 200, "N_list": [16], "operator_modes": 3, "operator_states": 1},
+        {"s": 0.3, "samples": 300, "N_list": [32], "lam": 2, "operator_modes": 4, "operator_states": 2},
+    ),
+    "energy-track": (
+        {"T": 0.05, "dt": 0.025, "n_samples": 3},
+        {"lam": 2.0, "support": [0, 4, 8], "T": 0.1, "dt": 0.0125, "n_samples": 4, "sign": -1,
+         "mass_tol": 1e-16, "multiplier_N": 8, "s": 0.3},
+    ),
+}
+
+
+#: The perturbations above that must fail, with their exit codes; every other
+#: one must still succeed, so its change shows in the rows or the meta.
+PERTURBED_EXIT = {("h-spectrum", "n_cap"): 3, ("trilinear-scan", "box_cap"): 3, ("energy-track", "mass_tol"): 2}
+
+
+def outcome(tmp_path, experiment, config):
+    """(exit code, rows, meta without wall_ms); rows and meta None on failure."""
+    rc, out = run_cli(tmp_path, [experiment], config=config)
+    if rc:
+        return rc, None, None
+    doc = json.loads(out.read_text())
+    doc["meta"].pop("wall_ms")
+    return rc, doc["rows"], doc["meta"]
+
+
+class TestNoDeadSettings:
+    def test_every_setting_is_perturbed(self):
+        declared = {name: {p.name for p in exp.params} for name, exp in EXPERIMENTS.items()}
+        assert {name: set(changes) for name, (_, changes) in PERTURBATIONS.items()} == declared
+
+    @pytest.mark.parametrize(
+        "experiment,name",
+        [(e, n) for e, (_, changes) in PERTURBATIONS.items() for n in changes],
+        ids=lambda v: v,
+    )
+    def test_setting_reaches_the_output(self, tmp_path, experiment, name):
+        # a setting that changes neither the rows, the meta nor the exit code
+        # does nothing
+        base, changes = PERTURBATIONS[experiment]
+        before = outcome(tmp_path, experiment, base)
+        assert before[0] == 0
+        after = outcome(tmp_path, experiment, dict(base, **{name: changes[name]}))
+        assert after[0] == PERTURBED_EXIT.get((experiment, name), 0)
+        assert after != before
 
 
 class TestExperiments:
@@ -274,9 +352,7 @@ class TestExperiments:
             # the CSV rows are the plain library scan's records, byte for byte
             rc, out = run_cli(tmp_path, ["symbol-bound-scan", "--seed", "4", "--format", "csv"], config=config)
             assert rc == 0
-            rep = symbols.bound_scan_symbols(
-                symbols.MultiplierParams(16, 0.5), 300, [16, 64], 4, operator_modes=modes, operator_states=3
-            )
+            rep = symbols.bound_scan_symbols(0.5, 300, [16, 64], 4, operator_modes=modes, operator_states=3)
             plain = {"experiment": "symbol-bound-scan", "rows": [dataclasses.asdict(r) for r in rep.records]}
             assert out.read_bytes() == cli.render(plain, "csv").encode()
 

@@ -552,6 +552,28 @@ class TestSymbols:
         with pytest.raises(ValueError):
             evaluate_symbol("quotient", FreqTuple((5, -5, 3, -3, 1, -1)), P16)
 
+    def test_phase_gap_is_exact_or_refused(self):
+        # Omega = 2**65 leaves int64, where it wraps to 0: M6 would be taken
+        # as if the gap vanished and the quotient would report a vanishing gap
+        t = FreqTuple((2**32, 0, 2**32, -(2**32), -(2**32), 0))
+        assert omega_n(t) == 2**65
+        for sid in ("M6", "quotient"):
+            with pytest.raises(OverflowError):
+                evaluate_symbol(sid, t, P16)
+        # entries past 2**30 give the exact sum while it fits int64, up to
+        # both ends of the range
+        top = 2**31
+        edge = np.array([(top, 0, top, 0, 0, 1), (0, top, 0, top, 0, 0), (top, top, 0, 0, 3, 2)])
+        assert _omega_int(edge).tolist() == [2**63 - 1, -(2**63), 5]
+        with pytest.raises(OverflowError):
+            _omega_int(np.array([(1, 2, 3, 4, 5, 6), (top, 0, top, 0, 0, 0)]))
+        rng = stream(23, 9)
+        js = rng.integers(-(2**31), 2**31, size=(3000, 6)) >> rng.integers(0, 8, size=(3000, 6))
+        want = np.array([sum((-1) ** i * v * v for i, v in enumerate(row)) for row in js.tolist()], dtype=object)
+        fits = np.array([-(2**63) <= v < 2**63 for v in want])
+        assert 0 < fits.sum() < len(js)
+        assert _omega_int(js[fits]).tolist() == want[fits].tolist()
+
     def test_arity_and_id_validation(self):
         with pytest.raises(ValueError):
             evaluate_symbol("sigma2", FreqTuple((1, -1, 1, -1, 1, -1)), P16)
@@ -715,8 +737,7 @@ class TestSupportAudit:
 
 class TestBoundScan:
     def test_report_shape_and_determinism(self):
-        p = MultiplierParams(16, 0.5)
-        rep = bound_scan_symbols(p, 4000, [16, 64], seed=5, operator_states=2)
+        rep = bound_scan_symbols(0.5, 4000, [16, 64], seed=5, operator_states=2)
         kinds = {r.kind for r in rep.records}
         assert kinds == {
             "nonresonant",
@@ -727,12 +748,11 @@ class TestBoundScan:
             "operator",
         }
         assert len(rep.records) == 12
-        again = bound_scan_symbols(p, 4000, [16, 64], seed=5, operator_states=2)
+        again = bound_scan_symbols(0.5, 4000, [16, 64], seed=5, operator_states=2)
         assert rep == again
 
     def test_ratios_bounded(self):
-        p = MultiplierParams(16, 0.5)
-        rep = bound_scan_symbols(p, 20_000, [32, 128], seed=3, operator_states=2)
+        rep = bound_scan_symbols(0.5, 20_000, [32, 128], seed=3, operator_states=2)
         non = rep.ratios("nonresonant")
         assert set(non) == {32, 128}
         for v in non.values():
@@ -749,27 +769,29 @@ class TestBoundScan:
     # (2, 16, 0) holds one nonresonant sample with Omega = 0
     @pytest.mark.parametrize("lam,N,seed,gaps", [(2, 16, 0, 1), (1, 64, 3, 0), (3, 32, 1, 0)])
     def test_symbols_read_off_the_scan_classification(self, lam, N, seed, gaps):
-        # the scan takes sigma6tilde = M6 / Omega (0 where Omega = 0) on its
-        # nonresonant rows and M6bar = M6_1 on its resonant rows; both must be
-        # what the symbol evaluator gives, bit for bit
+        # the scan reads sigma6tilde on its nonresonant rows and M6bar on its
+        # resonant rows through _symbol_batch with its own verdicts; there
+        # they must be the closed forms M6 / Omega (0 where Omega = 0) and
+        # M6_1, bit for bit
         pN = MultiplierParams(N, 0.5)
         js = _sample_tuples(stream(seed, 31, N), 20_000, N, lam)
         codes, upsilon, *_ = _classify_batch(js, lam, pN, SCAN_THRESHOLDS)
-        non = js[upsilon & (codes == 0)]
-        om = _omega_int(non)
-        m6 = _symbol_batch("M6", non, lam, pN)
+        non, res = upsilon & (codes == 0), upsilon & (codes > 0)
+        om = _omega_int(js[non])
+        m6 = _symbol_batch("M6", js[non], lam, pN)
         with np.errstate(divide="ignore", invalid="ignore"):
             expect = np.where(om == 0, 0.0, m6 / (om / float(lam * lam)))
-        got = _symbol_batch("sigma6tilde", non, lam, pN, th=SCAN_THRESHOLDS, on_gap="zero")
+        got = _symbol_batch(
+            "sigma6tilde", js[non], lam, pN, on_gap="zero", verdicts=(codes[non], upsilon[non])
+        )
         assert got.tobytes() == expect.tobytes()
-        res = js[upsilon & (codes > 0)]
-        bar = _symbol_batch("M6bar", res, lam, pN, th=SCAN_THRESHOLDS)
-        assert bar.tobytes() == _symbol_batch("M6_1", res, lam, pN).tobytes()
-        assert len(non) > 1000 and len(res) > 1000
+        bar = _symbol_batch("M6bar", js[res], lam, pN, verdicts=(codes[res], upsilon[res]))
+        assert bar.tobytes() == _symbol_batch("M6_1", js[res], lam, pN).tobytes()
+        assert non.sum() > 1000 and res.sum() > 1000
         assert (om == 0).sum() == gaps
-        rep = bound_scan_symbols(MultiplierParams(8, 0.5), 20_000, [N], seed, lam=lam, operator_states=0)
+        rep = bound_scan_symbols(0.5, 20_000, [N], seed, lam=lam, operator_states=0)
         (rec,) = [r for r in rep.records if r.kind == "nonresonant"]
-        assert (rec.count, rec.gap_count) == (len(non), gaps)
+        assert (rec.count, rec.gap_count) == (non.sum(), gaps)
 
     def test_classifies_once_per_cutoff(self, monkeypatch):
         calls = []
@@ -779,14 +801,28 @@ class TestBoundScan:
             return _classify_batch(js, *args, **kwargs)
 
         monkeypatch.setattr(symbols, "_classify_batch", counted)
-        bound_scan_symbols(MultiplierParams(16, 0.5), 3000, [16, 64, 256], seed=2, operator_states=0)
+        bound_scan_symbols(0.5, 3000, [16, 64, 256], seed=2, operator_states=0)
         assert calls == [3000, 3000, 3000]
+
+    def test_collapsed_count_is_exact_at_large_N(self):
+        # at N = 2**28 both sides of c_window |Omega| < lam^2 (N3*)^2 can
+        # leave int64; compared after wrapping, 93 rows would count
+        N = 2**28
+        rep = bound_scan_symbols(0.5, 20_000, [N], seed=0, operator_states=0)
+        (rec,) = [r for r in rep.records if r.kind == "nonresonant"]
+        js = _sample_tuples(stream(0, 31, N), 20_000, N, 1)
+        codes, upsilon, _, _, scls = _classify_batch(js, 1, MultiplierParams(N, 0.5), SCAN_THRESHOLDS)
+        non = upsilon & (codes == 0)
+        recount = sum(
+            SCAN_THRESHOLDS.c_window * abs(sum((-1) ** i * v * v for i, v in enumerate(row))) < s3 * s3
+            for row, s3 in zip(js[non].tolist(), scls[non, 2].tolist())
+        )
+        assert rec.collapsed_count == recount == 39
 
     def test_collapsed_tuples_are_separated(self):
         # the recorded collapsed max may exceed every envelope; the clean max
         # must not silently include it
-        p = MultiplierParams(16, 0.5)
-        rep = bound_scan_symbols(p, 50_000, [64], seed=7, operator_states=2)
+        rep = bound_scan_symbols(0.5, 50_000, [64], seed=7, operator_states=2)
         (rec,) = [r for r in rep.records if r.kind == "nonresonant"]
         assert rec.collapsed_count > 0
         assert rec.collapsed_max > rec.max_ratio
