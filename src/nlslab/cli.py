@@ -222,6 +222,9 @@ def _run_strichartz_scan(q: dict, seed: int):
     return rows, {
         "slope": res.slope,
         "max_r": {str(n): v for n, v in sorted(res.max_r.items())},
+        "time_nodes": {str(n): w[1] for n, w in sorted(res.work.items())},
+        "panels": {str(n): w[0] for n, w in sorted(res.work.items())},
+        "grid": {str(n): w[2] for n, w in sorted(res.work.items())},
     }
 
 

@@ -15,12 +15,14 @@ from the step times.
 The fundamental-theorem check integrates the two flow terms of the second
 modified energy and compares against the endpoint difference of the first.
 One arity-6 symbols._FrozenLambda table, built once for the fixed support,
-holds the three hyperplane symbols of the identity as rows of values, and E1
-is one symbols.energy_e1i call over all samples.  The ten-linear term takes
-no arity-10 table: its five collapsed slots sum to the projected quintic Q,
-so Lambda10(m10; u) = sum_{j=0..5} (-1)^j Lambda6(sigma6 + mu*sigma6tilde; Q
-in slot j, u elsewhere), and supports above GAMMA_MODE_CAPS[6] modes are
-refused by check_flux_cap before any flow is integrated.
+holds the three hyperplane symbols of the identity and E1's sigma6 as rows
+of values, so the support's zero-sum 6-tuples are enumerated once per run;
+E1 at all samples is checked against that sigma6 row.  The ten-linear term
+takes no arity-10 table: its five collapsed slots sum to the projected
+quintic Q, so Lambda10(m10; u) = sum_{j=0..5} (-1)^j Lambda6(sigma6 +
+mu*sigma6tilde; Q in slot j, u elsewhere), and supports above
+GAMMA_MODE_CAPS[6] modes are refused by check_flux_cap before any flow is
+integrated.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .symbols import (
     MultiplierParams,
     _FrozenLambda,
     _classify_batch,
+    _energy_e1i,
     _real_part,
     _symbol_batch,
-    energy_e1i,
     homogeneous_h1_sq,
     l6_now,
 )
@@ -274,15 +276,16 @@ def check_flux_cap(n_modes: int) -> None:
 
 def _flux_table(S: np.ndarray, lam: float, p: MultiplierParams, sign: int) -> _FrozenLambda:
     """Arity-6 table over S with rows of values sigma6tilde (endpoint
-    correction), M6bar (resonant term) and sigma6 + mu*sigma6tilde
-    (ten-linear), all read off one classification of the tuples."""
+    correction), M6bar (resonant term), sigma6 + mu*sigma6tilde (ten-linear)
+    and sigma6 (E1's Lambda_6), the first three read off one classification
+    of the tuples; row 3 sums bit for bit as E1's own sigma6 table."""
 
     def symbol(js: np.ndarray, ilam: int) -> np.ndarray:
         verdicts = _classify_batch(js, ilam, p)[:2]
         tilde = _symbol_batch("sigma6tilde", js, ilam, p, verdicts=verdicts)
-        flow = _symbol_batch("sigma6", js, ilam, p, sign=sign) + sign * tilde
+        sigma6 = _symbol_batch("sigma6", js, ilam, p, sign=sign)
         bar = _symbol_batch("M6bar", js, ilam, p, verdicts=verdicts)
-        return np.stack([tilde, bar, flow])
+        return np.stack([tilde, bar, sigma6 + sign * tilde, sigma6])
 
     return _FrozenLambda(symbol, [S] * 6, lam)
 
@@ -291,7 +294,7 @@ def _flux_sums(table: _FrozenLambda, uhat: np.ndarray, S: np.ndarray, lam: float
     """(sum, summed term magnitudes) of the three flux functionals at u on S;
     the ten-linear one substitutes Q = _quintic(u) into each slot j of the
     third row alone with sign (-1)^j, and odd slots supply conj(Q)."""
-    tilde, bar, _ = table([uhat] * 6)
+    tilde, bar = table.row(slice(0, 2))([uhat] * 6)
     ten = table.row(2)
     q = _quintic(uhat, S, lam)
     z, mass = 0j, 0.0
@@ -339,10 +342,12 @@ def ftc_residual(traj: Trajectory, p: MultiplierParams) -> FtcReport:
 
     Computes E1(t) - E1(0) + mu*[Lambda6(sigma6tilde)] at the endpoints minus
     the time integral of the two flow terms (resonant six-linear plus gated
-    ten-linear), Simpson-integrated on the trajectory's own samples.  E1 at
-    every sample is one energy_e1i call and the three arity-6 functionals one
-    _flux_table; a support above GAMMA_MODE_CAPS[6] modes raises
-    CapExceededError.  A trivial trajectory (T=0) yields an exact zero.
+    ten-linear), Simpson-integrated on the trajectory's own samples.  The
+    three arity-6 functionals and E1's sigma6 are rows of one _flux_table,
+    and E1 at every sample is checked against its sigma6 row as energy_e1i
+    checks against its own table; a support above GAMMA_MODE_CAPS[6] modes
+    raises CapExceededError.  A trivial trajectory (T=0) yields an exact
+    zero.
     """
     if traj.sign == 0:
         raise ValueError("flow identity concerns the nonlinear flow; sign is 0")
@@ -350,8 +355,8 @@ def ftc_residual(traj: Trajectory, p: MultiplierParams) -> FtcReport:
     mu = float(traj.sign)
     S, lam = traj.support, traj.lam
 
-    e1 = energy_e1i([traj.state(i) for i in range(traj.n_samples)], p, sign=traj.sign)
     table = _flux_table(S, lam, p, traj.sign)
+    e1 = _energy_e1i([traj.state(i) for i in range(traj.n_samples)], p, traj.sign, table.row(3))
     sums = [_flux_sums(table, u, S, lam) for u in traj.uhats]
     corr_0 = _real_part(*sums[0][0], "endpoint correction")
     corr_t = _real_part(*sums[-1][0], "endpoint correction")

@@ -11,6 +11,7 @@ integer difference of the q's, so zero/nonzero resonance decisions are exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -407,29 +408,92 @@ class StrichartzScanResult:
     records: list[ScanRecord]
     max_r: dict[int, float]
     slope: float
+    #: per N: (GL panels, time nodes, spatial grid size) of the quadrature
+    work: dict[int, tuple[int, int, int]]
+
+
+def _sigma_bandwidth(js: np.ndarray) -> int:
+    """Bound on |q - q'| over index triples from the sorted support ``js``
+    with equal sigma = j1+j2+j3, where q = j1²+j2²+j3²: the integrand of the
+    L⁶ time integral carries only the time frequencies (q - q')/lam².
+
+    Two bounds hold; the smaller is returned.  Every q lies in [3·min j²,
+    3·max j²], so 3·(max j² - min j²) bounds every difference.  And over the
+    real hull [A, B] of the support, sigma fixed: q is smallest, sigma²/3, at
+    a = (sigma/3)·(1, 1, 1), and largest at a vertex of {a ∈ [A, B]³ :
+    Σa = sigma}, where two entries sit at A or B.  The excess over sigma²/3
+    is convex in sigma between the breakpoints 3A, 2A+B, A+2B, 3B, so its
+    maximum sits at one of them: 0 at 3A and 3B, and 2(B - A)²/3 at the
+    other two, with vertices (A, A, B) and (A, B, B).  q - q' is an integer,
+    so the floor of that bound holds too.  On [-N, N] it is ⌊8N²/3⌋, the
+    exact maximum, against 3N² from the first bound; on two modes ±N the
+    first bound is 0, also exact.
+    """
+    span = int(js[-1]) - int(js[0])
+    mags = np.abs(js)
+    lo, hi = int(mags.min()), int(mags.max())  # Python integers from here on
+    return min(2 * span * span // 3, 3 * (hi * hi - lo * lo))
+
+
+@functools.cache
+def _gl_panel() -> tuple[np.ndarray, np.ndarray, float]:
+    """The scan's Gauss-Legendre panel rule: nodes and weights on [-1, 1],
+    and the largest omega·L at which one panel of length L integrates
+    e^{i omega t} to QUAD_RTOL/10 relative to L.
+
+    The GL-n remainder on a panel of length L is L^{2n+1}·(n!)⁴/((2n+1)·
+    ((2n)!)³)·f^{(2n)}(xi).  The real and imaginary parts of e^{i omega t}
+    have |f^{(2n)}| ≤ omega^{2n}, so the complex error relative to L is at
+    most √2·(omega·L)^{2n}·(n!)⁴/((2n+1)·((2n)!)³); the admissible omega·L
+    solves that against QUAD_RTOL/10, in logarithms by `lgamma`.  n = 64
+    admits omega·L up to 166.4, 0.385 nodes per unit of omega·T; GL-32 needs
+    0.438 and GL-128 0.361, but every panel computes all its nodes, so the
+    last panel's waste grows with n.  Of the three, GL-64 measured fastest
+    on the scan over N = 16..256 (GL-128 was 4% faster at N = 512 and 1024
+    alone).  Computed once per process; the arrays are read-only.
+    """
+    n = 64
+    log_wl = (
+        math.log(QUAD_RTOL / 10.0)
+        + math.log(2 * n + 1)
+        + 3.0 * math.lgamma(2 * n + 1)
+        - 4.0 * math.lgamma(n + 1)
+        - 0.5 * math.log(2.0)
+    ) / (2 * n)
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w, math.exp(log_wl)
+
+
+def _time_panels(js: np.ndarray, lam: float, T: float) -> int:
+    """Panels of `_gl_panel` on [0, T] for states on support ``js`` at scale
+    ``lam``: the fewest that keep omega·L admissible, omega being
+    `_sigma_bandwidth` / lam².  One panel when omega is 0."""
+    omega = _sigma_bandwidth(js) / (lam * lam)
+    return max(1, math.ceil(omega * T / _gl_panel()[2]))
 
 
 def _r_value_quadrature(states: Sequence[FourierState], T: float) -> list[float]:
     """R = (∫₀ᵀ∫|e^{itΔ}u|⁶)^{1/6} / ‖u‖₂ for states sharing one support and
     one lam, by composite Gauss-Legendre sized from the bandwidth.
 
-    The integrand is a trig polynomial whose frequencies lie within
-    3*(max q - min q)/lam^2, so a panel length keeping omega*L below the
-    GL-32 accuracy threshold makes the rule certain to QUAD_RTOL -- no
-    adaptive refinement.  All states go through one `_spatial_l6` call on
-    the `l6_grid_size` grid, sharing its phase table."""
+    The integrand is a trig polynomial whose time frequencies are bounded by
+    omega = `_sigma_bandwidth` / lam², the largest |q - q'| inside one sigma
+    group.  `_time_panels` cuts [0, T] into equal panels of the GL-64 rule
+    `_gl_panel`, short enough that the GL remainder √2·(omega·L)^{128}·
+    (64!)⁴/(129·(128!)³) stays within QUAD_RTOL/10 on every tone, so the
+    rule is certain to QUAD_RTOL -- no adaptive refinement.  All states go
+    through one `_spatial_l6` call on the `l6_grid_size` grid, sharing its
+    phase table."""
     if not states:
         return []
     js, lam = states[0].indices, states[0].lam
     if any(s.lam != lam or not np.array_equal(s.indices, js) for s in states):
         raise ValueError("batched states must share one support and lam")
-    q = (js.astype(np.float64) / lam) ** 2
-    omega_span = 3.0 * float(q.max() - q.min())
-    n = 32
-    # per-panel error ~ (omega*L/2n)^{2n}; solve for the admissible omega*L
-    wl = 2 * n * (QUAD_RTOL / 10.0) ** (1.0 / (2 * n))
-    panels = max(1, math.ceil(omega_span * T / wl))
-    x, w = np.polynomial.legendre.leggauss(n)
+    panels = _time_panels(js, lam, T)
+    x, w, _ = _gl_panel()
+    n = len(x)
     L = T / panels
     offs = (np.arange(panels) + 0.5) * L
     ts = (offs[:, None] + (L / 2.0) * x[None, :]).ravel()
@@ -464,13 +528,17 @@ def strichartz_scan(
 
     Members per N: the constant profile (uhat = 1 on [-N, N]) and seeded
     complex-Gaussian profiles.  They share the support, lam = 1, T and so the
-    Gauss-Legendre panels, sized from the bandwidth and certain to QUAD_RTOL,
-    and the spatial grid: the smallest 5-smooth size that is alias-free for
-    |u|⁶ (`l6_grid_size`).  So all members of one N go through one
-    `_spatial_l6` call, which streams the time nodes in cache-sized blocks
-    and computes each block's phase table once for every member.
-    `l6_time_integral_exact` is the oracle the route is tested against.  The
-    slope is the least-squares log-log slope of the per-N maxima.
+    time rule: equal panels of GL-64 (`_gl_panel`), as few as keep the GL
+    remainder √2·(omega·L)^{128}·(64!)⁴/(129·(128!)³) within QUAD_RTOL/10,
+    where omega = ⌊8N²/3⌋ bounds |q - q'| inside one sigma group
+    (`_sigma_bandwidth`).  They share the spatial grid too: the smallest
+    5-smooth size that is alias-free for |u|⁶ (`l6_grid_size`).  So all
+    members of one N go through one `_spatial_l6` call, which streams the
+    time nodes in cache-sized blocks and computes each block's phase table
+    once for every member.  ``work`` reports the panels, time nodes and grid
+    per N.  `l6_time_integral_exact` is the oracle the route is tested
+    against.  The slope is the least-squares log-log slope of the per-N
+    maxima.
     """
     if not n_list:
         raise ValueError("n_list must be nonempty")
@@ -480,6 +548,7 @@ def strichartz_scan(
         raise ValueError("the scan has no members: set n_random > 0 or include_constant")
     records: list[ScanRecord] = []
     max_r: dict[int, float] = {}
+    work: dict[int, tuple[int, int, int]] = {}
     for n in n_list:
         if n < 1:
             raise ValueError("N must be positive")
@@ -491,9 +560,12 @@ def strichartz_scan(
             for (name, _), r in zip(members, rs)
         ]
         max_r[int(n)] = max(rs, default=0.0)
+        js = members[0][1].indices
+        panels = _time_panels(js, 1.0, T)
+        work[int(n)] = (panels, panels * len(_gl_panel()[0]), l6_grid_size(int(js[-1] - js[0])))
     ns = sorted(max_r)
     if len(ns) >= 2:
         slope = float(np.polyfit(np.log([float(n) for n in ns]), np.log([max_r[n] for n in ns]), 1)[0])
     else:
         slope = 0.0
-    return StrichartzScanResult(alpha, records, max_r, slope)
+    return StrichartzScanResult(alpha, records, max_r, slope, work)

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -646,9 +646,10 @@ class _FrozenLambda:
             return self.scale * complex(sums), self.scale * float(masses)
         return [(self.scale * complex(z), self.scale * float(m)) for z, m in zip(sums, masses)]
 
-    def row(self, k: int) -> "_FrozenLambda":
-        """The table of the k-th row of stacked values alone, sharing the
-        stored tuples; it sums bit for bit as that row of this table."""
+    def row(self, k: Union[int, slice]) -> "_FrozenLambda":
+        """The table of the k-th row (or a slice of rows) of stacked values
+        alone, sharing the stored tuples; it sums bit for bit as those rows
+        of this table."""
         one = copy.copy(self)
         one.values = self.values[k]
         return one
@@ -733,15 +734,30 @@ def energy_e1i(
     S, lam = states[0].indices, states[0].lam
     if any(s.lam != lam or not np.array_equal(s.indices, S) for s in states):
         raise ValueError("states must share one support and lam")
-    check = 0 < len(S) <= GAMMA_MODE_CAPS[6]
-    if check:
-        sigma2 = _FrozenLambda(symbol_fn("sigma2", p), [S] * 2, lam)
+    sigma6 = None
+    if 0 < len(S) <= GAMMA_MODE_CAPS[6]:
         sigma6 = _FrozenLambda(symbol_fn("sigma6", p, sign=sign), [S] * 6, lam)
+    return _energy_e1i(states, p, sign, sigma6)
+
+
+def _energy_e1i(
+    states: Sequence[FourierState],
+    p: MultiplierParams,
+    sign: int,
+    sigma6: Optional[_FrozenLambda],
+) -> list[float]:
+    """`energy_e1i` of states on one support, checked against Lambda_2 +
+    Lambda_6 with ``sigma6`` as the arity-6 table of symbol_fn("sigma6", p,
+    sign=sign) over [S]*6, which a caller may share with its own tables; no
+    check when ``sigma6`` is None."""
+    if sigma6 is not None:
+        S, lam = states[0].indices, states[0].lam
+        sigma2 = _FrozenLambda(symbol_fn("sigma2", p), [S] * 2, lam)
     out = []
     for state in states:
         v = apply_I(state, p)
         norm_form = 0.5 * homogeneous_h1_sq(v) + sign * l6_now(v) / 6.0
-        if check:
+        if sigma6 is not None:
             u = state.uhat_array()
             sym = _real_part(*sigma2([u] * 2), "hyperplane sum")
             sym += _real_part(*sigma6([u] * 6), "hyperplane sum")

@@ -336,6 +336,11 @@ class TestExperiments:
         doc = json.loads(out.read_text())
         assert set(doc["meta"]["max_r"]) == {"16", "32"}
         assert len(doc["rows"]) == 4  # (const + 1 random) per N
+        # GL-64 panels of omega*L <= 166.39 with omega = floor(8N²/3), at
+        # T = N^-0.7; grid: the smallest 5-smooth size >= 6N + 1
+        assert doc["meta"]["panels"] == {"16": 1, "32": 2}
+        assert doc["meta"]["time_nodes"] == {"16": 64, "32": 128}
+        assert doc["meta"]["grid"] == {"16": 100, "32": 200}
 
     def test_symbol_bound_scan_work_counts(self, tmp_path):
         # meta counts the tuples classified and the operator tables' stored

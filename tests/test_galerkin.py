@@ -394,8 +394,9 @@ class TestFlowIdentity:
         assert rep.relative <= 1e-3
 
     def test_table_builds_once_per_run(self, monkeypatch):
-        # one energy-track run builds E1's sigma2 and sigma6 tables and the
-        # flow-identity table, whatever its sample count
+        # one energy-track run builds E1's sigma2 table and one arity-6
+        # table, whose rows hold the flow-identity symbols and E1's sigma6,
+        # whatever its sample count
         from nlslab import cli
 
         arities = []
@@ -410,7 +411,7 @@ class TestFlowIdentity:
             arities.clear()
             doc = cli.run_experiment("energy-track", {"n_samples": n_samples}, 0, 1)
             assert len(doc["rows"]) == n_samples
-            assert sorted(arities) == [2, 6, 6]
+            assert sorted(arities) == [2, 6]
 
     def test_e1_per_sample(self):
         traj = integrate_galerkin(ACCEPT, 0.1, dt=0.025, sign=+1, n_samples=5)

@@ -10,9 +10,12 @@ from nlslab.fourier import FourierState
 from nlslab.strichartz import (
     QUAD_RTOL,
     HSpectrum,
+    _gl_panel,
     _r_value_quadrature,
     _scan_members,
+    _sigma_bandwidth,
     _spatial_l6,
+    _time_panels,
     chain_inequality_ratio,
     dyadic_block_average,
     h_spectrum,
@@ -308,3 +311,105 @@ def test_r_value_on_5_smooth_grid_matches_power_of_two_grid(n, monkeypatch):
     assert l6_grid_size(2 * n) != 1 << (6 * n + 1).bit_length()
     for a, b in zip(smooth, pow2):
         assert abs(a - b) <= 1e-14 * abs(b)
+
+
+def _brute_bandwidth(js):
+    """max |q - q'| over index triples of js with equal sigma, by enumeration."""
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for t in product([int(j) for j in js], repeat=3):
+        sig, q = sum(t), sum(j * j for j in t)
+        lo[sig] = min(lo.get(sig, q), q)
+        hi[sig] = max(hi.get(sig, q), q)
+    return max(hi[s] - lo[s] for s in hi)
+
+
+BANDWIDTH_SUPPORTS = {
+    "single": [5],
+    "two-symmetric": [-7, 7],
+    "symmetric-3": list(range(-3, 4)),
+    "symmetric-8": list(range(-8, 9)),
+    "shifted": list(range(2, 9)),
+    "negative-shifted": list(range(-40, -31)),
+    "gapped": [-3, -1, 0, 2, 5, 6],
+    "squares": [0, 1, 4, 9],
+    "sparse": [-9, -4, 0, 3, 17, 40],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BANDWIDTH_SUPPORTS))
+def test_sigma_bandwidth_bounds_brute_force(name):
+    js = np.array(BANDWIDTH_SUPPORTS[name], dtype=np.int64)
+    bound = _sigma_bandwidth(js)
+    assert bound >= _brute_bandwidth(js)
+    assert bound <= 3 * int(np.max(js**2) - np.min(js**2))
+
+
+def test_sigma_bandwidth_values():
+    # brute force / bound, from the enumeration above
+    assert (_brute_bandwidth(range(2, 9)), _sigma_bandwidth(np.arange(2, 9))) == (24, 24)
+    gapped = np.array([-3, -1, 0, 2, 5, 6])
+    assert (_brute_bandwidth(gapped), _sigma_bandwidth(gapped)) == (54, 54)
+    assert (_brute_bandwidth([0, 1, 4, 9]), _sigma_bandwidth(np.array([0, 1, 4, 9]))) == (48, 54)
+    assert _sigma_bandwidth(np.array([5])) == 0
+    assert _sigma_bandwidth(np.array([-7, 7])) == 0  # every triple has q = 147
+
+
+def test_sigma_bandwidth_on_symmetric_support():
+    for n in range(1, 9):
+        js = np.arange(-n, n + 1)
+        assert _sigma_bandwidth(js) == _brute_bandwidth(js) == 8 * n * n // 3
+    for n in (64, 256, 1024, 2**40):
+        js = np.array([-n, 0, n])
+        assert _sigma_bandwidth(js) == 8 * n * n // 3 < 3 * n * n
+
+
+def test_gl_panel_at_admissible_width():
+    x, w, wl = _gl_panel()
+    assert len(x) == 64 and wl == pytest.approx(166.39, abs=0.01)
+    assert not x.flags.writeable and _gl_panel() is _gl_panel()
+
+    def panel_error(omega, a, L):
+        ts = a + (L / 2.0) * (x + 1.0)
+        got = np.sum(np.exp(1j * omega * ts) * w) * (L / 2.0)
+        want = (np.exp(1j * omega * (a + L)) - np.exp(1j * omega * a)) / (1j * omega)
+        return abs(got - want) / L
+
+    for L in (0.003, 1.0, 7.5):
+        for a in (0.0, 0.37):
+            for omega in (wl / L, -wl / L, 0.9 * wl / L):
+                assert panel_error(omega, a, L) <= QUAD_RTOL / 10.0
+            # the remainder bound is not loose by much: 30% wider fails
+            assert panel_error(1.3 * wl / L, a, L) > QUAD_RTOL
+
+
+def test_time_panels_keep_the_panel_admissible():
+    wl = _gl_panel()[2]
+    for js, lam, T in ((np.arange(-64, 65), 1.0, 64**-0.7), (np.array([-9, -4, 0, 3, 17, 40]), 2.0, 1.0)):
+        panels = _time_panels(js, lam, T)
+        omega = _sigma_bandwidth(js) / lam**2
+        assert omega * T / panels <= wl < omega * T / (panels - 1)
+    assert _time_panels(np.array([3]), 1.0, 100.0) == 1
+
+
+@pytest.mark.parametrize(
+    "js, lam, Ts",
+    [
+        ([2, 3, 4, 5, 6, 7, 8], 1.0, (0.3, 5.0, 40.0)),
+        ([-9, -4, 0, 3, 17, 40], 2.0, (0.05, 0.4, 2.0)),
+    ],
+    ids=["shifted", "sparse"],
+)
+def test_r_value_quadrature_matches_exact_off_the_scan_support(js, lam, Ts):
+    rng = np.random.default_rng(23)
+    js = np.array(js)
+    states = [
+        FourierState(lam, js, rng.standard_normal(len(js)) + 1j * rng.standard_normal(len(js)))
+        for _ in range(3)
+    ] + [FourierState(lam, js, np.ones(len(js), dtype=np.complex128))]
+    for T in Ts:
+        assert _time_panels(js, lam, T) >= (T > 1.0)
+        rs = _r_value_quadrature(states, T)
+        for r, st in zip(rs, states):
+            exact = l6_time_integral_exact(st, T)
+            assert (r * st.l2_norm()) ** 6 == pytest.approx(exact, rel=QUAD_RTOL)
