@@ -8,7 +8,6 @@ from .errors import (  # noqa: F401
     CapExceededError,
     ConfigError,
     IntegrationError,
-    ResonanceGapError,
 )
 from .rng import stream  # noqa: F401
 from .lattice import (  # noqa: F401
@@ -92,7 +91,6 @@ from .symbols import (  # noqa: F401
     multiplier_m,
     omega_n,
     rearrange_decreasing,
-    support_gap_audit,
     support_tuples,
     symbol_fn,
 )

@@ -29,7 +29,6 @@ from .errors import (
     CapExceededError,
     ConfigError,
     IntegrationError,
-    ResonanceGapError,
 )
 from .fourier import FourierState
 from .galerkin import (
@@ -286,6 +285,7 @@ def _run_energy_track(q: dict, seed: int):
     if len(set(support)) != len(support):
         raise ConfigError("energy-track.support: modes must be distinct")
     check_flux_cap(len(support))
+    p = MultiplierParams(q["multiplier_N"], q["s"])
     rng = stream(seed, 0)
     amps = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
     state = FourierState.from_uhat(q["lam"], dict(zip(support, amps)))
@@ -297,7 +297,6 @@ def _run_energy_track(q: dict, seed: int):
         n_samples=q["n_samples"],
         mass_tol=q["mass_tol"],
     )
-    p = MultiplierParams(q["multiplier_N"], q["s"])
     rep = ftc_residual(traj, p)
     rows = [
         {
@@ -558,7 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError) as e:
         print(f"nlslab: error: {e}", file=sys.stderr)
         return 2
-    except (CalibrationError, IntegrationError, ResonanceGapError, ArithmeticError) as e:
+    except (CalibrationError, IntegrationError, ArithmeticError) as e:
         print(f"nlslab: error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     if args.out is None:

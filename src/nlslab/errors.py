@@ -20,20 +20,6 @@ class CalibrationError(RuntimeError):
         self.failures = failures or []
 
 
-class ResonanceGapError(ArithmeticError):
-    """A zero phase denominator was hit on a tuple the classifier left
-    non-resonant while the removable symbol part is nonzero.
-
-    This is surfaced (never masked): it means the classifier thresholds do
-    not cover the tuple, which is recorded as data in ``tuple`` (stored
-    frequencies).
-    """
-
-    def __init__(self, message, tuple_=None):
-        super().__init__(message)
-        self.tuple = tuple_
-
-
 class IntegrationError(RuntimeError):
     """Step-size control failed to hold the conservation-law drift.
 

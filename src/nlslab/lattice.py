@@ -350,6 +350,8 @@ def scan_hypothesis_h(
         raise ValueError("n_list must be nonempty")
     if k_random < 0:
         raise ValueError("k_random must be nonnegative")
+    if any(n < 1 for n in n_list):
+        raise ValueError("N must be positive")
     centers: list[tuple[str, tuple]] = []
     if include_adversarial:
         centers.extend(adversarial_centers())
@@ -358,8 +360,6 @@ def scan_hypothesis_h(
     records: list[CountRecord] = []
     sups: dict[int, float] = {}
     for n in n_list:
-        if n < 1:
-            raise ValueError("N must be positive")
         r1sq = Fraction(n * n)
         r2sq = r1sq + annulus_width(n, alpha)
         best = 0.0

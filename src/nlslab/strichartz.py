@@ -546,12 +546,12 @@ def strichartz_scan(
         raise ValueError("n_random must be nonnegative")
     if n_random == 0 and not include_constant:
         raise ValueError("the scan has no members: set n_random > 0 or include_constant")
+    if any(n < 1 for n in n_list):
+        raise ValueError("N must be positive")
     records: list[ScanRecord] = []
     max_r: dict[int, float] = {}
     work: dict[int, tuple[int, int, int]] = {}
     for n in n_list:
-        if n < 1:
-            raise ValueError("N must be positive")
         T = float(n) ** (-alpha)
         members = list(_scan_members(n, n_random, include_constant, seed))
         rs = _r_value_quadrature([state for _, state in members], T)

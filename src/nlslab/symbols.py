@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapExceededError, ResonanceGapError
+from .errors import CapExceededError
 from .fourier import FourierState
 from .rng import stream
 from .strichartz import _spatial_l6, l6_grid_size
@@ -420,8 +420,6 @@ def classify_resonance(t: FreqTuple, p: MultiplierParams) -> ResonanceVerdict:
 
 SYMBOL_IDS = ("sigma2", "sigma6", "M6_1", "M6", "M6bar", "sigma6tilde", "quotient")
 
-_ALT6 = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-
 
 def _sigma2_batch(js: np.ndarray, lam: int, p: MultiplierParams) -> np.ndarray:
     k = js / lam
@@ -463,10 +461,17 @@ def _symbol_batch(
     *,
     sign: int = +1,
     th: Thresholds = DEFAULT_THRESHOLDS,
-    on_gap: str = "error",
     verdicts=None,
 ):
     """Vectorized symbol values on rows of stored-frequency tuples.
+
+    M6bar, the resonant part, is M6_1 on the rows of Upsilon_6 with a
+    resonant class and on every row with Omega = 0 exactly, whatever its
+    class, and 0 elsewhere: no normal-form correction can remove M6 where
+    the phase gap vanishes.  sigma6tilde = (M6 - M6bar) / Omega where
+    Omega != 0; where Omega = 0, M6 equals M6_1 bit for bit, so the
+    numerator vanishes and sigma6tilde is 0.  M6_1 sums its odd and even slots apart, so a conjugated row (groups
+    exchanged) reads its exact negation, whatever the row's batch.
 
     ``verdicts``, the (codes, upsilon) of ``_classify_batch`` on these rows at
     ``th``, lets callers that read M6bar and sigma6tilde classify once.
@@ -479,15 +484,16 @@ def _symbol_batch(
     m = _m_batch(np.abs(k), p)
     if symbol_id == "sigma6":
         return sign * m.prod(axis=1) / 6.0
-    m6_1 = ((m * m * k * k) @ _ALT6) / 6.0
+    v = m * m * k * k
+    m6_1 = ((v[:, 0] + v[:, 2] + v[:, 4]) - (v[:, 1] + v[:, 3] + v[:, 5])) / 6.0
     if symbol_id == "M6_1":
         return m6_1
+    oint = _omega_int(js)
     if symbol_id in ("M6bar", "sigma6tilde"):
         codes, upsilon = _classify_batch(js, lam, p, th)[:2] if verdicts is None else verdicts
-        m6bar = np.where(upsilon & (codes > 0), m6_1, 0.0)
+        m6bar = np.where((upsilon & (codes > 0)) | (oint == 0), m6_1, 0.0)
         if symbol_id == "M6bar":
             return m6bar
-    oint = _omega_int(js)
     omega = oint / float(lam * lam)
     if symbol_id == "quotient":
         if (oint == 0).any():
@@ -499,20 +505,9 @@ def _symbol_batch(
     if symbol_id == "M6":
         return m6
     if symbol_id == "sigma6tilde":
-        m6tilde = m6 - m6bar
-        zero = oint == 0
-        gap = zero & (m6tilde != 0.0)
-        if gap.any():
-            if on_gap == "zero":
-                m6tilde = np.where(zero, 0.0, m6tilde)
-            else:
-                row = tuple(int(v) for v in js[int(np.flatnonzero(gap)[0])])
-                raise ResonanceGapError(
-                    f"vanishing phase gap with nonzero nonresonant symbol at {row}", row
-                )
         out = np.zeros(len(js))
-        nz = ~zero
-        out[nz] = m6tilde[nz] / omega[nz]
+        nz = oint != 0
+        out[nz] = (m6[nz] - m6bar[nz]) / omega[nz]
         return out
     raise ValueError(f"unknown symbol id {symbol_id!r}")
 
@@ -542,14 +537,13 @@ def symbol_fn(
     *,
     sign: int = +1,
     th: Thresholds = DEFAULT_THRESHOLDS,
-    on_gap: str = "error",
 ) -> Callable[[np.ndarray, int], np.ndarray]:
     """Vectorized symbol callable for the hyperplane sums."""
     if symbol_id not in SYMBOL_IDS:
         raise ValueError(f"unknown symbol id {symbol_id!r}")
 
     def fn(js: np.ndarray, lam: int) -> np.ndarray:
-        return _symbol_batch(symbol_id, js, lam, p, sign=sign, th=th, on_gap=on_gap)
+        return _symbol_batch(symbol_id, js, lam, p, sign=sign, th=th)
 
     return fn
 
@@ -783,14 +777,6 @@ def support_tuples(support: Sequence[int], arity: int = 6) -> np.ndarray:
     return np.concatenate(rows) if rows else np.zeros((0, arity), dtype=np.int64)
 
 
-def support_gap_audit(support: Sequence[int], lam: int, p: MultiplierParams) -> int:
-    """Count the six-factor interactions a mode set can produce, raising if
-    any of them has a vanishing phase gap with nonzero nonresonant symbol."""
-    js = support_tuples(support, 6)
-    _symbol_batch("sigma6tilde", js, lam, p, on_gap="error")
-    return len(js)
-
-
 # ---------------------------------------------------------------------------
 # symbol-size bound scan
 
@@ -801,8 +787,9 @@ class BoundScanRecord:
     N: int
     max_ratio: float
     count: int
-    # Nonresonant tuples with Omega = 0: sigma6tilde is taken as 0 on them,
-    # and they fall in the collapsed set below.
+    # Nonresonant-class tuples with Omega = 0: they belong to the resonant
+    # part M6bar, so sigma6tilde is 0 on them, and they fall in the collapsed
+    # set below.
     gap_count: int = 0
     # Nonresonant tuples whose phase gap sits below the square-sum scale the
     # envelope divides against; near-integer cancellations make the quotient
@@ -882,20 +869,21 @@ def bound_scan_symbols(
         raise ValueError("operator_states must be nonnegative")
     if operator_modes < 1:
         raise ValueError("operator_modes must be positive")
+    cutoffs = [MultiplierParams(int(N), s) for N in N_list]
     th = SCAN_THRESHOLDS
     records: list[BoundScanRecord] = []
     work: list[tuple[int, int, int]] = []
-    for N in N_list:
-        pN = MultiplierParams(int(N), s)
-        rng = stream(seed, 31, int(N))
-        js = _sample_tuples(rng, sample_count, int(N), lam)
+    for pN in cutoffs:
+        N = pN.N
+        rng = stream(seed, 31, N)
+        js = _sample_tuples(rng, sample_count, N, lam)
         codes, upsilon, can, cls, scls = _classify_batch(js, lam, pN, th)
         mN = lambda c: _m_batch(c.astype(np.float64), pN)
 
         nonres = upsilon & (codes == 0)
         om = _omega_int(js[nonres])
         vals = _symbol_batch(  # 0 where Omega = 0
-            "sigma6tilde", js[nonres], lam, pN, on_gap="zero", verdicts=(codes[nonres], upsilon[nonres])
+            "sigma6tilde", js[nonres], lam, pN, verdicts=(codes[nonres], upsilon[nonres])
         )
         sub_cls, sub_scls = cls[nonres], scls[nonres]
         narrow = (
@@ -918,7 +906,7 @@ def bound_scan_symbols(
         records.append(
             BoundScanRecord(
                 "nonresonant",
-                int(N),
+                N,
                 float(clear.max()) if len(clear) else 0.0,
                 int(nonres.sum()),
                 int((om == 0).sum()),
@@ -955,14 +943,14 @@ def bound_scan_symbols(
             records.append(
                 BoundScanRecord(
                     f"resonant-case-{name}",
-                    int(N),
+                    N,
                     float(r.max()) if len(r) else 0.0,
                     int(mask.sum()),
                 )
             )
 
         best = 0.0
-        sig = symbol_fn("sigma6tilde", pN, th=th, on_gap="zero")
+        sig = symbol_fn("sigma6tilde", pN, th=th)
         stored: list[int] = []
 
         def counted(rows, ilam):
@@ -971,13 +959,13 @@ def bound_scan_symbols(
             return sig(rows, ilam)
 
         for i in range(operator_states):
-            srng = stream(seed, 37, int(N), i)
+            srng = stream(seed, 37, N, i)
             jset = np.sort(srng.choice(np.arange(-3 * N, 3 * N + 1), size=operator_modes, replace=False))
             amps = srng.normal(size=operator_modes) + 1j * srng.normal(size=operator_modes)
             u = FourierState.from_uhat(float(lam), dict(zip(map(int, jset), amps)))
             num = abs(lambda_n_evaluate(counted, [u] * 6))
             den = (2 * math.pi * apply_I(u, pN).sobolev_norm_sq(1.0)) ** 3
             best = max(best, num / den)
-        records.append(BoundScanRecord("operator", int(N), best, operator_states))
-        work.append((int(N), len(js), sum(stored)))
+        records.append(BoundScanRecord("operator", N, best, operator_states))
+        work.append((N, len(js), sum(stored)))
     return BoundScanReport(records=tuple(records), work=tuple(work))

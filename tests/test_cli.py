@@ -187,6 +187,39 @@ class TestValidation:
         assert "cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_energy_track_bad_multiplier_before_flow(self, tmp_path, capsys, monkeypatch):
+        # a non-dyadic cutoff is refused before the 10,000-step flow runs
+        def no_flow(*args, **kwargs):
+            raise AssertionError("flow integrated for an invalid multiplier_N")
+
+        monkeypatch.setattr(cli, "integrate_galerkin", no_flow)
+        config = {"multiplier_N": 3, "T": 1.0, "dt": 1e-4}
+        rc, out = run_cli(tmp_path, ["energy-track"], config=config)
+        assert rc == 2
+        assert "dyadic" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment,module,work",
+        [
+            ("symbol-bound-scan", "symbols", "_classify_batch"),
+            ("strichartz-scan", "strichartz", "_scan_members"),
+            ("hypothesis-scan", "lattice", "count_points"),
+        ],
+        ids=["symbol-bound-scan", "strichartz-scan", "hypothesis-scan"],
+    )
+    def test_bad_cutoff_before_work(self, tmp_path, capsys, monkeypatch, experiment, module, work):
+        # the invalid cutoff is last in N_list; it is refused before the
+        # valid one ahead of it is worked on
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the cutoffs were validated")
+
+        monkeypatch.setattr(importlib.import_module(f"nlslab.{module}"), work, no_work)
+        rc, out = run_cli(tmp_path, [experiment], config={"N_list": [16, 0]})
+        assert rc == 2
+        assert "N must be" in capsys.readouterr().err
+        assert not out.exists()
+
     # neither reaches a row: the scanned symbols do not depend on the sign,
     # and the cutoffs are the N_list values
     @pytest.mark.parametrize("name,value", [("sign", -1), ("multiplier_N", 16)], ids=["sign", "multiplier_N"])
@@ -383,20 +416,35 @@ class TestExperiments:
         meta = doc["meta"]
         assert (meta["dt_effective"], meta["halvings"], meta["rk4_steps"]) == (0.025, 2, 14)
 
-    def test_energy_flux_matches_benchmark_reference(self):
-        # the benchmark's energy-flux jobs at seed 0 against its committed
-        # rows, through the benchmark's own comparison: mass to 1e-8,
-        # hamiltonian and e1 to 1e-6, dt_effective exactly
+    @pytest.mark.parametrize("workload", sorted(p.stem for p in (BENCH / "reference").glob("*.json")))
+    def test_workload_matches_benchmark_reference(self, workload):
+        # the benchmark's jobs at seed 0 against its committed rows, through
+        # the benchmark's own comparison and invariants (for energy-track:
+        # mass to 1e-8, hamiltonian and e1 to 1e-6, dt_effective exactly)
         spec = importlib.util.spec_from_file_location("perfbench_checks", BENCH / "checks.py")
         checks = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(checks)
-        reference = checks.load_reference("energy-flux")
-        assert len(reference) == 2
+        reference = checks.load_reference(workload)
+        assert reference
         for ref in reference:
             config = ref["config"]
             doc = cli.run_experiment(ref["experiment"], config, config["seed"], 1)
             assert checks.check_job(ref["experiment"], config, doc["params"], doc, reference) == []
-            assert doc["meta"]["dt_effective"] == ref["dt_effective"]
+
+    # exact Omega = 0 rows in nonresonant classes, which go to the resonant
+    # part; both configs exited 2 before that rule
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"support": [0, 8, 16, 40], "multiplier_N": 1, "T": 0.025, "dt": 0.00625},
+            {"support": [0, 32, 64, 160], "multiplier_N": 8, "T": 0.0015625, "dt": 0.000390625},
+        ],
+        ids=["c2-N1", "c8-N8"],
+    )
+    def test_energy_track_closes_flux_on_gap_rows(self, tmp_path, config):
+        rc, out = run_cli(tmp_path, ["energy-track"], config=config)
+        assert rc == 0
+        assert json.loads(out.read_text())["meta"]["relative"] <= 1e-6
 
     @pytest.mark.parametrize(
         "support",
@@ -411,8 +459,8 @@ class TestExperiments:
     def test_energy_track_roundoff_tenlinear_term(self, tmp_path, support):
         # the ten-linear flow term is zero up to roundoff on the first three
         # supports, so its imaginary residue is only measurable against its
-        # terms; the gap-free 8- and 12-mode supports run through arity-6
-        # tables only, up to the mode cap
+        # terms; the 8- and 12-mode supports run through arity-6 tables
+        # only, up to the mode cap
         rc, _ = run_cli(tmp_path, ["energy-track"], config={"support": support})
         assert rc == 0
 

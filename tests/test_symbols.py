@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nlslab import symbols
-from nlslab.errors import CapExceededError, ResonanceGapError
+from nlslab.errors import CapExceededError
 from nlslab.fourier import FourierState
 from nlslab.rng import stream
 from nlslab.symbols import (
@@ -33,7 +33,6 @@ from nlslab.symbols import (
     multiplier_m,
     omega_n,
     rearrange_decreasing,
-    support_gap_audit,
     support_tuples,
     symbol_fn,
     _class_batch,
@@ -498,7 +497,8 @@ class TestSymbols:
         for p in (P16, MultiplierParams(256, 0.3)):
             k = js / 2
             m = symbols._m_batch(np.abs(k), p)
-            m6_1 = ((m * m * k * k) @ symbols._ALT6) / 6.0
+            v = m * m * k * k
+            m6_1 = ((v[:, 0] + v[:, 2] + v[:, 4]) - (v[:, 1] + v[:, 3] + v[:, 5])) / 6.0
             prod = symbols._m_batch(np.abs(js / 2), p).prod(axis=1)
             m6 = m6_1 - prod * (_omega_int(js) / 4.0) / 6.0
             assert_same_bits(
@@ -523,14 +523,30 @@ class TestSymbols:
         balanced = FreqTuple((20, -20, 20, -20, 20, -20))
         assert evaluate_symbol("sigma6tilde", balanced, P16) == 0.0
 
-    def test_gap_tuple_raises(self):
+    def test_gap_tuple_joins_resonant_part(self):
+        # Omega = 0 in a nonresonant class: no correction can remove M6 there,
+        # so M6bar carries it and sigma6tilde is exactly 0
         gap = FreqTuple((13, -12, 0, 3, 0, -4))
         assert omega_n(gap) == 0
-        with pytest.raises(ResonanceGapError) as ei:
-            evaluate_symbol("sigma6tilde", gap, P4)
-        assert ei.value.tuple == (13, -12, 0, 3, 0, -4)
-        fn = symbol_fn("sigma6tilde", P4, on_gap="zero")
-        assert fn(np.array([gap.js]), 1)[0] == 0.0
+        assert classify_resonance(gap, P4).kind == "NonResonant"
+        assert evaluate_symbol("M6bar", gap, P4) == evaluate_symbol("M6_1", gap, P4) == -3.5
+        assert evaluate_symbol("sigma6tilde", gap, P4) == 0.0
+        row = np.array([gap.js])
+        assert symbol_fn("M6bar", P4)(row, 1)[0] == symbol_fn("M6_1", P4)(row, 1)[0] == -3.5
+        assert symbol_fn("sigma6tilde", P4)(row, 1)[0] == 0.0
+
+    def test_m6_1_antisymmetric_and_batch_independent(self):
+        # each row reads the same bits alone as in its batch, and its
+        # conjugate (groups exchanged, values negated) reads the exact negation,
+        # up to the sign of zero
+        js = support_tuples((0, 8, 16, 40), 6)
+        p = MultiplierParams(1, 0.5)
+        batch = _symbol_batch("M6_1", js, 4, p)
+        alone = np.array([_symbol_batch("M6_1", js[i : i + 1], 4, p)[0] for i in range(len(js))])
+        assert batch.tobytes() == alone.tobytes()
+        conj = -js[:, [1, 0, 3, 2, 5, 4]]
+        assert (_symbol_batch("M6_1", conj, 4, p) == -batch).all()
+        assert (batch[_omega_int(js) == 0] == 0.0).all()
 
     def test_quotient_exact_one_below_cutoff(self):
         rng = stream(23, 1)
@@ -721,18 +737,21 @@ class TestSupportAudit:
             want = sorted(t for t in itertools.product(*slots) if sum(t) == 0)
             assert sorted(map(tuple, support_tuples(support, arity).tolist())) == want
 
-    def test_gap_free_supports(self):
-        assert support_gap_audit((0, 4, 8, 20), 4, P4) == 370
-        assert support_gap_audit((-2, 0, 1, 3), 1, P4) == 412
-        assert support_gap_audit((-4, -3, 3, 4), 1, MultiplierParams(2, 0.5)) == 400
-
-    def test_gap_support_raises(self):
-        # the mode set reaches the stored tuple (13, -12, 0, 3, 0, -4); the
-        # audit reports the first gap row in enumeration order, which is its
-        # conjugate with the slots permuted
-        with pytest.raises(ResonanceGapError) as ei:
-            support_gap_audit((-3, 0, 4, 12, 13), 1, P4)
-        assert ei.value.tuple == (12, 0, 4, 0, -3, -13)
+    def test_gap_rows_join_resonant_part(self):
+        # the mode set reaches Omega = 0 rows in nonresonant classes with
+        # M6 != 0, such as (12, 0, 4, 0, -3, -13); on every Omega = 0 row
+        # M6bar is M6 and sigma6tilde exactly 0, elsewhere (M6 - M6bar) / Omega
+        js = support_tuples((-3, 0, 4, 12, 13), 6)
+        codes, upsilon = _classify_batch(js, 1, P4)[:2]
+        zero = _omega_int(js) == 0
+        m6 = _symbol_batch("M6", js, 1, P4)
+        bar = _symbol_batch("M6bar", js, 1, P4)
+        tilde = _symbol_batch("sigma6tilde", js, 1, P4)
+        assert (zero & (codes == 0) & (m6 != 0.0)).any()
+        assert bar[zero].tobytes() == m6[zero].tobytes()
+        assert tilde[zero].tobytes() == np.zeros(zero.sum()).tobytes()
+        omega = _omega_int(js[~zero]).astype(np.float64)
+        assert tilde[~zero].tobytes() == ((m6[~zero] - bar[~zero]) / omega).tobytes()
 
 
 class TestBoundScan:
@@ -781,9 +800,7 @@ class TestBoundScan:
         m6 = _symbol_batch("M6", js[non], lam, pN)
         with np.errstate(divide="ignore", invalid="ignore"):
             expect = np.where(om == 0, 0.0, m6 / (om / float(lam * lam)))
-        got = _symbol_batch(
-            "sigma6tilde", js[non], lam, pN, on_gap="zero", verdicts=(codes[non], upsilon[non])
-        )
+        got = _symbol_batch("sigma6tilde", js[non], lam, pN, verdicts=(codes[non], upsilon[non]))
         assert got.tobytes() == expect.tobytes()
         bar = _symbol_batch("M6bar", js[res], lam, pN, verdicts=(codes[res], upsilon[res]))
         assert bar.tobytes() == _symbol_batch("M6_1", js[res], lam, pN).tobytes()
