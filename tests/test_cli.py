@@ -441,7 +441,7 @@ class TestExperiments:
         ],
         ids=["c2-N1", "c8-N8"],
     )
-    def test_energy_track_closes_flux_on_gap_rows(self, tmp_path, config):
+    def test_energy_track_closes_flux_at_zero_gap(self, tmp_path, config):
         rc, out = run_cli(tmp_path, ["energy-track"], config=config)
         assert rc == 0
         assert json.loads(out.read_text())["meta"]["relative"] <= 1e-6
