@@ -737,6 +737,26 @@ class TestSupportAudit:
             want = sorted(t for t in itertools.product(*slots) if sum(t) == 0)
             assert sorted(map(tuple, support_tuples(support, arity).tolist())) == want
 
+    def test_gap_free_supports(self):
+        # these mode sets reach no nonresonant Omega = 0 row with M6 != 0, so
+        # sigma6tilde is (M6 - M6bar) / Omega wherever Omega != 0 and finite
+        for support, lam, p, count in (
+            ((0, 4, 8, 20), 4, P4, 370),
+            ((-2, 0, 1, 3), 1, P4, 412),
+            ((-4, -3, 3, 4), 1, MultiplierParams(2, 0.5), 400),
+        ):
+            js = support_tuples(support, 6)
+            assert len(js) == count
+            codes = _classify_batch(js, lam, p)[0]
+            zero = _omega_int(js) == 0
+            m6 = _symbol_batch("M6", js, lam, p)
+            tilde = _symbol_batch("sigma6tilde", js, lam, p)
+            assert not (zero & (codes == 0) & (m6 != 0.0)).any()
+            assert np.isfinite(tilde).all()
+            bar = _symbol_batch("M6bar", js[~zero], lam, p)
+            omega = _omega_int(js[~zero]).astype(np.float64) / float(lam * lam)
+            assert tilde[~zero].tobytes() == ((m6[~zero] - bar) / omega).tobytes()
+
     def test_gap_rows_join_resonant_part(self):
         # the mode set reaches Omega = 0 rows in nonresonant classes with
         # M6 != 0, such as (12, 0, 4, 0, -3, -13); on every Omega = 0 row
