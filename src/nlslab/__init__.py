@@ -40,7 +40,6 @@ from .fourier import (  # noqa: F401
     FourierState,
     evolve_linear,
     rescale,
-    scaling_exponent,
 )
 from .strichartz import (  # noqa: F401
     ChainReport,
@@ -90,7 +89,6 @@ from .symbols import (  # noqa: F401
     lambda_n_evaluate,
     multiplier_m,
     omega_n,
-    rearrange_decreasing,
     support_tuples,
     symbol_fn,
 )

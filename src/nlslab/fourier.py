@@ -139,9 +139,3 @@ def evolve_linear(state: FourierState, t: float) -> FourierState:
     theta = state.indices.astype(np.float64) ** 2 * tr
     theta -= np.round(theta / _TAU) * _TAU
     return FourierState(state.lam, state.indices, state.amps * np.exp(-1j * theta))
-
-
-def scaling_exponent(p1: float, p2: float) -> float:
-    """Exponent sigma(p1, p2) = 2/p2 + 1/p1 - 1/2 governing how mixed-norm
-    estimates rescale between torus sizes."""
-    return 2.0 / p2 + 1.0 / p1 - 0.5

@@ -133,8 +133,10 @@ def integrate_galerkin(
     """Integrate the truncated flow over [0, T].
 
     ``sign`` +1 is defocusing, -1 focusing, 0 drops the nonlinearity (free
-    flow).  The step is halved until the relative mass drift across samples
-    is at most ``mass_tol``; persistent failure raises IntegrationError.
+    flow).  ``n_samples`` (default 21) must be odd and at least 3, so that
+    Simpson's rule applies downstream.  The step is halved until the relative
+    mass drift across samples is at most ``mass_tol``; persistent failure
+    raises IntegrationError.
 
     The stepper is built once per call: the state lives on the support's
     compressed grid (see ``_grid``) and each RK4 stage is one
@@ -168,10 +170,8 @@ def integrate_galerkin(
         )
     if n_samples is None:
         n_samples = 21
-    if n_samples < 3:
-        raise ValueError("need at least 3 samples over a positive window")
-    if n_samples % 2 == 0:
-        n_samples += 1  # keep an odd count so Simpson applies downstream
+    if n_samples < 3 or n_samples % 2 == 0:
+        raise ValueError("need an odd count of at least 3 samples over a positive window")
     if dt is None:
         dt = T / 80.0
     if dt <= 0:

@@ -93,12 +93,7 @@ def _kernel(omega: np.ndarray, T: float) -> np.ndarray:
 # exact L^6 time integral
 
 
-def l6_time_integral_exact(
-    state: FourierState,
-    T: float,
-    *,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> float:
+def l6_time_integral_exact(state: FourierState, T: float) -> float:
     """∫₀ᵀ ∫ |e^{itΔ}u|⁶ dx dt, evaluated exactly on the Fourier side.
 
     The sextuple sum runs over triples against conjugate triples with equal
@@ -109,9 +104,9 @@ def l6_time_integral_exact(
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    if state.n_modes > support_cap:
+    if state.n_modes > DEFAULT_SUPPORT_CAP:
         raise CapExceededError(
-            f"support size {state.n_modes} exceeds the sextuple cap {support_cap}"
+            f"support size {state.n_modes} exceeds the sextuple cap {DEFAULT_SUPPORT_CAP}"
         )
     if state.n_modes == 0 or T == 0:
         return 0.0
@@ -377,14 +372,18 @@ def chain_inequality_ratio(
 ) -> ChainReport:
     """Compare ∫₀^{N^{-alpha}}∫|e^{itΔ}f|⁶ with 2π(N^{-alpha} h(0) + sup_K avg)
     for a nonnegative-coefficient f supported in [-N, N]; the reported ratio is
-    1 for single modes and should stay O(1) across N."""
+    1 for single modes and should stay O(1) across N.  The left side is read
+    off the same h as 2π(T h(0) + Σ_{τ≥1} h(τ) sin(τT)/τ), which is the exact
+    sextuple sum `l6_time_integral_exact` for nonnegative magnitudes."""
     for j in magnitudes:
         if abs(int(j)) > N:
             raise ValueError("support must lie in [-N, N]")
     T = float(N) ** (-alpha)
-    state = FourierState.from_uhat(1.0, {int(j): float(v) for j, v in magnitudes.items()})
-    lhs = l6_time_integral_exact(state, T)
     h = h_spectrum(magnitudes, N)
+    # at lam = 1 a pair of sextuples with |q - q'| = tau, counted in both
+    # orders in h(tau), contributes the real part of its kernel, sin(tau T)/tau
+    osc = sum(v * math.sin(tau * T) / tau for tau, v in h.values.items() if tau > 0)
+    lhs = _TAU * (T * h[0] + osc)
     sup, sup_k = sup_dyadic_block_average(h, alpha)
     return ChainReport(N, alpha, lhs, T * h[0], sup, sup_k)
 

@@ -18,7 +18,6 @@ Conventions used throughout (and relied on by the tests):
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,9 +37,9 @@ GAMMA_MODE_CAPS = {6: 12}
 
 _INT64_MAX = (1 << 63) - 1
 
-#: Candidate tuples per enumeration block (at least one slot's modes);
-#: bounds the transient partial-sum arrays.
-_CHUNK = 1 << 21
+#: Most candidate tuples (mode combinations of the first n-1 slots) one
+#: zero-sum enumeration forms; bounds its transient partial-sum arrays.
+CANDIDATE_CAP = 1 << 21
 
 #: Largest imaginary part a real hyperplane sum may carry, relative to the
 #: summed magnitudes of its terms.
@@ -162,14 +161,6 @@ def omega_n(t: FreqTuple) -> Fraction:
     """Alternating square sum sum_j (-1)^(j+1) k_j^2, exact."""
     alt = sum((-1) ** i * j * j for i, j in enumerate(t.js))
     return Fraction(alt, t.lam * t.lam)
-
-
-def rearrange_decreasing(values: Sequence) -> tuple:
-    """Values reordered by nonincreasing magnitude; ties keep input order."""
-    if len(values) == 0:
-        raise ValueError("need at least one value")
-    order = sorted(range(len(values)), key=lambda i: -abs(values[i]))
-    return tuple(values[i] for i in order)
 
 
 def dyadic_class(x) -> int:
@@ -559,49 +550,41 @@ def _as_int_lam(lam: float) -> int:
     return ilam
 
 
-def _zero_sum_chunks(supports: Sequence[np.ndarray]):
+def _zero_sum_rows(supports: Sequence[np.ndarray]):
     """Stored zero-sum tuples with one support of modes per slot.
 
-    Odd slots store the mode and even slots its negation.  The first n-1
-    slots run over all mode combinations, the first slot fastest; the last
-    slot is solved from the zero sum and kept when its mode is in its
-    support.  The partial sums of the first n-1 slots are formed by
-    broadcasting, first slot on the fastest axis, over the longest run of
-    leading "fast" slots whose combinations number at most ``_CHUNK`` (at
-    least the first slot); the remaining slow slots are fixed per block, in
-    order, and add a constant.  Yields ``(digits, last_pos, js)`` per block
-    for the kept rows: int32 positions in the supports of the first n-1
-    slots and of the last slot's mode, and the stored tuples.  Only the kept
-    rows' fast digits are recovered, by divmod of their index in the block.
+    Odd slots store the mode and even slots its negation.  The partial sums
+    of the first n-1 slots are formed in one broadcast over all their mode
+    combinations, the first slot fastest; the last slot is solved from the
+    zero sum and kept when its mode is in its support.  More than
+    ``CANDIDATE_CAP`` combinations are refused before any array is formed.
+    Returns ``(digits, last_pos, js)`` for the kept rows: int32 positions in
+    the supports of the first n-1 slots and of the last slot's mode, and the
+    stored tuples.  Only the kept rows' digits are recovered, by divmod of
+    their candidate index.
     """
     slots = [s if i % 2 == 0 else -s for i, s in enumerate(supports[:-1])]
     last = supports[-1]
-    n_fast = 1
-    while n_fast < len(slots) and math.prod(len(s) for s in slots[: n_fast + 1]) <= _CHUNK:
-        n_fast += 1
-    fast = slots[0]
-    for s in slots[1:n_fast]:
-        fast = (s[:, None] + fast).ravel()
-    slow = slots[n_fast:]
-    # the first slow slot varies fastest from block to block
-    for slow_digits in itertools.product(*(range(len(s)) for s in reversed(slow))):
-        slow_digits = slow_digits[::-1]
-        ssum = fast + sum(s[d] for s, d in zip(slow, slow_digits))
-        # the arity is even, so the last slot is even: stored -ssum needs mode +ssum
-        pos = np.minimum(np.searchsorted(last, ssum), len(last) - 1)
-        keep = np.flatnonzero(last[pos] == ssum)
-        digits = np.empty((len(keep), len(slots)), dtype=np.int32)
-        js = np.empty((len(keep), len(supports)), dtype=ssum.dtype)
-        rem = keep
-        for i, s in enumerate(slots):
-            if i < n_fast:
-                rem, d = np.divmod(rem, len(s))
-            else:
-                d = slow_digits[i - n_fast]
-            digits[:, i] = d
-            js[:, i] = s[d]
-        js[:, -1] = -ssum[keep]
-        yield digits, pos[keep].astype(np.int32), js
+    count = math.prod(len(s) for s in slots)
+    if count > CANDIDATE_CAP:
+        raise CapExceededError(
+            f"{count} candidate {len(supports)}-tuples exceed the enumeration cap {CANDIDATE_CAP}"
+        )
+    ssum = slots[0]
+    for s in slots[1:]:
+        ssum = (s[:, None] + ssum).ravel()
+    # the arity is even, so the last slot is even: stored -ssum needs mode +ssum
+    pos = np.minimum(np.searchsorted(last, ssum), len(last) - 1)
+    keep = np.flatnonzero(last[pos] == ssum)
+    digits = np.empty((len(keep), len(slots)), dtype=np.int32)
+    js = np.empty((len(keep), len(supports)), dtype=ssum.dtype)
+    rem = keep
+    for i, s in enumerate(slots):
+        rem, d = np.divmod(rem, len(s))
+        digits[:, i] = d
+        js[:, i] = s[d]
+    js[:, -1] = -ssum[keep]
+    return digits, pos[keep].astype(np.int32), js
 
 
 class _FrozenLambda:
@@ -618,14 +601,8 @@ class _FrozenLambda:
     def __init__(self, symbol, supports: Sequence[np.ndarray], lam: float):
         ilam = _as_int_lam(lam)
         self.scale = _TAU / lam ** (len(supports) - 1)
-        digit_parts, last_parts, val_parts = [], [], []
-        for digits, last, js in _zero_sum_chunks(supports):
-            digit_parts.append(digits)
-            last_parts.append(last)
-            val_parts.append(np.asarray(symbol(js, ilam), dtype=np.float64))
-        self.digits = np.concatenate(digit_parts, axis=0)
-        self.last = np.concatenate(last_parts)
-        self.values = np.concatenate(val_parts, axis=-1)
+        self.digits, self.last, js = _zero_sum_rows(supports)
+        self.values = np.asarray(symbol(js, ilam), dtype=np.float64)
 
     def __call__(self, coeffs: Sequence[np.ndarray]):
         """The sum at per-slot coefficient arrays, and the sum of its terms'
@@ -665,17 +642,13 @@ def _real_part(z: complex, mass: float, what: str) -> float:
     return z.real
 
 
-def lambda_n_evaluate(
-    symbol,
-    states: Sequence[FourierState],
-    *,
-    mode_cap: Optional[int] = None,
-) -> float:
+def lambda_n_evaluate(symbol, states: Sequence[FourierState]) -> float:
     """Real multilinear functional Lambda_n(symbol; states).
 
     The symbol is a vectorized callable on stored-tuple rows; each slot draws
-    its modes from its own state.  Supports above the arity's mode cap
-    (GAMMA_MODE_CAPS unless ``mode_cap`` is given) are refused.
+    its modes from its own state.  Supports above the arity's mode cap in
+    GAMMA_MODE_CAPS, and tables of more than CANDIDATE_CAP candidate tuples,
+    are refused.
     """
     n = len(states)
     if n % 2 or n < 2:
@@ -683,7 +656,7 @@ def lambda_n_evaluate(
     lam = states[0].lam
     if any(s.lam != lam for s in states):
         raise ValueError("states must share a circumference")
-    cap = GAMMA_MODE_CAPS.get(n) if mode_cap is None else mode_cap
+    cap = GAMMA_MODE_CAPS.get(n)
     if cap is not None:
         for s in states:
             if s.n_modes > cap:
@@ -768,13 +741,13 @@ def support_tuples(support: Sequence[int], arity: int = 6) -> np.ndarray:
     """All stored zero-sum tuples whose factors draw modes from ``support``.
 
     Odd slots range over the mode set, even slots over its negation; rows are
-    the stored-frequency values.
+    the stored-frequency values.  More than CANDIDATE_CAP candidate tuples
+    are refused.
     """
     S = np.asarray(sorted(int(j) for j in support), dtype=np.int64)
     if arity % 2 or arity < 2:
         raise ValueError("even arity required")
-    rows = [js for _, _, js in _zero_sum_chunks([S] * arity)]
-    return np.concatenate(rows) if rows else np.zeros((0, arity), dtype=np.int64)
+    return _zero_sum_rows([S] * arity)[2]
 
 
 # ---------------------------------------------------------------------------

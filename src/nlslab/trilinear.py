@@ -384,7 +384,6 @@ def trilinear_l2_ratio(
     T: float,
     *,
     spec: Optional[TrilinearSpec] = None,
-    mode_cap: int = DEFAULT_MODE_CAP,
 ) -> float:
     """||prod_j e^{it D} phi_j||_{L^2([0,T] x circle)} / prod_j ||phi_j||_{L^2}.
 
@@ -402,7 +401,7 @@ def trilinear_l2_ratio(
         raise ValueError("zero profile has no ratio")
     if T <= 0:
         raise ValueError("T must be positive")
-    if phi1.n_modes * phi2.n_modes * phi3.n_modes > mode_cap:
+    if phi1.n_modes * phi2.n_modes * phi3.n_modes > DEFAULT_MODE_CAP:
         raise CapExceededError("support product exceeds the trilinear cap")
     if spec is not None:
         if spec.lam != lam:

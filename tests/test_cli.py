@@ -299,7 +299,7 @@ PERTURBATIONS = {
     ),
     "energy-track": (
         {"T": 0.05, "dt": 0.025, "n_samples": 3},
-        {"lam": 2.0, "support": [0, 4, 8], "T": 0.1, "dt": 0.0125, "n_samples": 4, "sign": -1,
+        {"lam": 2.0, "support": [0, 4, 8], "T": 0.1, "dt": 0.0125, "n_samples": 5, "sign": -1,
          "mass_tol": 1e-16, "multiplier_N": 8, "s": 0.3},
     ),
 }
@@ -430,6 +430,24 @@ class TestExperiments:
             config = ref["config"]
             doc = cli.run_experiment(ref["experiment"], config, config["seed"], 1)
             assert checks.check_job(ref["experiment"], config, doc["params"], doc, reference) == []
+
+    def test_workload_supports_within_candidate_cap(self):
+        # traced benchmark runs count every energy-track support's arity-6
+        # and arity-10 tuples at set-up, so each must enumerate under the cap
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        supports = [
+            cli.resolve_params(EXPERIMENTS[exp], config)["support"]
+            for jobs in workloads.WORKLOADS.values()
+            for exp, config in jobs
+            if exp == "energy-track"
+        ]
+        assert supports
+        for support in supports:
+            for arity in (6, 10):
+                # raises CapExceededError above symbols.CANDIDATE_CAP
+                assert len(symbols.support_tuples(support, arity)) > 0
 
     # exact Omega = 0 rows in nonresonant classes, which go to the resonant
     # part; both configs exited 2 before that rule

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlslab.fourier import FourierState, evolve_linear, rescale, scaling_exponent
+from nlslab.fourier import FourierState, evolve_linear, rescale
 
 
 def test_from_uhat_round_trip():
@@ -84,8 +84,3 @@ def test_evolve_linear_phase_values():
     want = s.amps * np.exp(-1j * (s.indices / 2.0) ** 2 * t)
     assert np.allclose(e.amps, want, rtol=1e-12)
 
-
-def test_scaling_exponent():
-    assert scaling_exponent(2.0, 6.0) == pytest.approx(1.0 / 3.0)
-    assert scaling_exponent(6.0, 6.0) == pytest.approx(0.0)
-    assert scaling_exponent(2.0, 2.0) == pytest.approx(1.0)

@@ -226,8 +226,8 @@ class TestIntegrator:
         assert energy_drift(traj2) <= 1e-6
 
     def test_trajectory_layout(self):
-        traj = integrate_galerkin(ACCEPT, 0.2, dt=0.01, sign=+1, n_samples=4)
-        assert traj.n_samples == 5  # even counts are bumped to odd
+        traj = integrate_galerkin(ACCEPT, 0.2, dt=0.01, sign=+1, n_samples=5)
+        assert traj.n_samples == 5
         assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(0.2)
         assert traj.uhats.shape == (5, 4)
         np.testing.assert_array_equal(traj.state(0).indices, ACCEPT.indices)
@@ -248,6 +248,8 @@ class TestIntegrator:
             integrate_galerkin(ACTIVE, 1.0, dt=0.0)
         with pytest.raises(ValueError):
             integrate_galerkin(ACTIVE, 1.0, n_samples=2)
+        with pytest.raises(ValueError):  # Simpson's rule needs an odd count
+            integrate_galerkin(ACTIVE, 1.0, n_samples=4)
 
     def test_step_halving_recovers_coarse_start(self):
         # dt=0.005 is too coarse for this state's nonlinearity; the integrator

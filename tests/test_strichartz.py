@@ -7,7 +7,9 @@ import pytest
 from nlslab import strichartz
 from nlslab.errors import CapExceededError
 from nlslab.fourier import FourierState
+from nlslab.rng import stream
 from nlslab.strichartz import (
+    DEFAULT_SUPPORT_CAP,
     QUAD_RTOL,
     HSpectrum,
     _gl_panel,
@@ -59,9 +61,11 @@ def test_l6_closed_forms():
 
 
 def test_l6_support_cap():
-    big = FourierState(1.0, np.arange(10), np.ones(10, dtype=complex))
+    # refused before any class collapse, so the over-cap state costs nothing
+    assert DEFAULT_SUPPORT_CAP == 160
+    big = FourierState(1.0, np.arange(161), np.ones(161, dtype=complex))
     with pytest.raises(CapExceededError):
-        l6_time_integral_exact(big, 1.0, support_cap=9)
+        l6_time_integral_exact(big, 1.0)
 
 
 def test_l6_lambda_scaling_invariance():
@@ -216,6 +220,18 @@ def test_chain_ratio_constant_profile():
     rep = chain_inequality_ratio({j: 1.0 for j in range(-4, 5)}, 4, 0.7)
     assert 0 < rep.ratio < 10
     assert rep.lhs > 0 and rep.h0_term > 0
+
+
+def test_chain_lhs_matches_exact_sextuple_sum():
+    # the chain reads its left side off h; the sextuple sum is its oracle
+    rng = stream(31, 0)
+    for N in (1, 2, 4, 8, 16):
+        js = range(-N, N + 1)
+        for mags in ({j: 1.0 for j in js}, {j: float(rng.uniform()) for j in js}):
+            T = float(N) ** -0.7
+            exact = l6_time_integral_exact(FourierState.from_uhat(1.0, mags), T)
+            rep = chain_inequality_ratio(mags, N, 0.7)
+            assert rep.lhs == pytest.approx(exact, rel=1e-12)
 
 
 def test_scan_structure_and_determinism():

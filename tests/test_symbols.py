@@ -13,6 +13,7 @@ from nlslab.errors import CapExceededError
 from nlslab.fourier import FourierState
 from nlslab.rng import stream
 from nlslab.symbols import (
+    CANDIDATE_CAP,
     DEFAULT_THRESHOLDS,
     GAMMA_MODE_CAPS,
     KIND_NAMES,
@@ -32,7 +33,6 @@ from nlslab.symbols import (
     lambda_n_evaluate,
     multiplier_m,
     omega_n,
-    rearrange_decreasing,
     support_tuples,
     symbol_fn,
     _class_batch,
@@ -41,7 +41,7 @@ from nlslab.symbols import (
     _sample_tuples,
     _sort_groups,
     _symbol_batch,
-    _zero_sum_chunks,
+    _zero_sum_rows,
 )
 
 P16 = MultiplierParams(16, 0.5)
@@ -158,35 +158,27 @@ def reference_classify_batch(js, lam, p, th=DEFAULT_THRESHOLDS):
     return codes, upsilon, can, cls, scls
 
 
-def reference_zero_sum_chunks(supports, chunk=1 << 21):
+def reference_zero_sum_rows(supports):
     """Stored zero-sum tuples by divmod of every candidate index."""
     slots = [s if i % 2 == 0 else -s for i, s in enumerate(supports[:-1])]
     last = supports[-1]
-    total = math.prod(len(s) for s in slots)
-    for a in range(0, total, chunk):
-        rem = np.arange(a, min(a + chunk, total), dtype=np.int64)
-        digits, ssum = [], 0
-        for s in slots:
-            rem, d = np.divmod(rem, len(s))
-            digits.append(d)
-            ssum = ssum + s[d]
-        pos = np.clip(np.searchsorted(last, ssum), 0, len(last) - 1)
-        ok = last[pos] == ssum
-        digits = np.stack([d[ok] for d in digits], axis=1).astype(np.int32)
-        js = np.column_stack([s[d] for s, d in zip(slots, digits.T)] + [-ssum[ok]])
-        yield digits, pos[ok].astype(np.int32), js
+    rem = np.arange(math.prod(len(s) for s in slots), dtype=np.int64)
+    digits, ssum = [], 0
+    for s in slots:
+        rem, d = np.divmod(rem, len(s))
+        digits.append(d)
+        ssum = ssum + s[d]
+    pos = np.clip(np.searchsorted(last, ssum), 0, len(last) - 1)
+    ok = last[pos] == ssum
+    digits = np.stack([d[ok] for d in digits], axis=1).astype(np.int32)
+    js = np.column_stack([s[d] for s, d in zip(slots, digits.T)] + [-ssum[ok]])
+    return digits, pos[ok].astype(np.int32), js
 
 
 def assert_same_bits(got, want):
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
-
-
-def enumerate_all(chunks):
-    """(digits, last_pos, js) of a chunked enumeration, concatenated."""
-    parts = list(chunks)
-    return tuple(np.concatenate([part[i] for part in parts]) for i in range(3))
 
 
 class TestMultiplier:
@@ -253,12 +245,6 @@ class TestTuples:
         assert omega_n(FreqTuple((5, -5, 3, -3, 1, -1))) == 0
         assert omega_n(FreqTuple((13, -12, 0, 3, 0, -4))) == 0
         assert omega_n(FreqTuple((7, -5), lam=2)) == F(49 - 25, 4)
-
-    def test_rearrange(self):
-        assert rearrange_decreasing((1, -5, 3)) == (-5, 3, 1)
-        assert rearrange_decreasing((2, -2, 1)) == (2, -2, 1)  # stable tie
-        with pytest.raises(ValueError):
-            rearrange_decreasing(())
 
     def test_dyadic_class_scalar(self):
         assert [dyadic_class(x) for x in (0, 1, 2, 3, 4, 5, 63, 64, 65)] == [
@@ -637,8 +623,6 @@ class TestLambdaForms:
         with pytest.raises(CapExceededError):
             lambda_n_evaluate(symbol_fn("sigma6", P4), [u] * 6)
         assert GAMMA_MODE_CAPS[6] == 12
-        # explicit cap overrides the default
-        lambda_n_evaluate(symbol_fn("sigma6", P4), [u] * 6, mode_cap=13)
 
     def test_imag_residue_surfaces(self):
         u = FourierState.from_uhat(1.0, {1: 1.0 + 1.0j})
@@ -700,8 +684,8 @@ class TestZeroSumEnumeration:
     @pytest.mark.parametrize("support", ENUM_SUPPORTS, ids=lambda s: f"{len(s)}-modes")
     def test_arity6_matches_reference(self, support):
         S = np.array(support, dtype=np.int64)
-        got = enumerate_all(_zero_sum_chunks([S] * 6))
-        assert_same_bits(got, enumerate_all(reference_zero_sum_chunks([S] * 6)))
+        got = _zero_sum_rows([S] * 6)
+        assert_same_bits(got, reference_zero_sum_rows([S] * 6))
         assert len(got[2]) > 0
 
     def test_arity2_and_mixed_supports_match_reference(self):
@@ -710,21 +694,18 @@ class TestZeroSumEnumeration:
         S = np.array(ENUM_SUPPORTS[3], dtype=np.int64)
         mixed = [np.array(s, dtype=np.int64) for s in ((0, 3, 7), (-2, 3), (-6, -1, 0, 4, 9), (1,), (0, 3, 7), (-4, 0, 4))]
         for supports in ([S] * 2, mixed):
-            got = enumerate_all(_zero_sum_chunks(supports))
-            assert_same_bits(got, enumerate_all(reference_zero_sum_chunks(supports)))
+            got = _zero_sum_rows(supports)
+            assert_same_bits(got, reference_zero_sum_rows(supports))
             assert len(got[2]) > 0
 
-    @pytest.mark.parametrize("chunk", [1, 7, 50, 9**3])
-    def test_blocks_do_not_change_bits(self, monkeypatch, chunk):
-        # small _CHUNK fixes the slow slots per block; blocks come in the
-        # unblocked order, so the concatenation is the same bits
-        cases = [[np.array(ENUM_SUPPORTS[3], dtype=np.int64)] * 6, [np.array(ENUM_SUPPORTS[2], dtype=np.int64)] * 2]
-        want = [enumerate_all(reference_zero_sum_chunks(c)) for c in cases]
-        monkeypatch.setattr(symbols, "_CHUNK", chunk)
-        for case, w in zip(cases, want):
-            assert_same_bits(enumerate_all(_zero_sum_chunks(case)), w)
-        assert len(list(_zero_sum_chunks(cases[0]))) > 1
-
+    def test_candidate_cap_refuses_before_enumerating(self):
+        # 6^9 ~ 10.1M candidates: refused before any partial sum is formed
+        assert CANDIDATE_CAP == 1 << 21
+        with pytest.raises(CapExceededError):
+            support_tuples(range(6), 10)
+        u = FourierState.from_uhat(1.0, {j: 1.0 for j in range(6)})
+        with pytest.raises(CapExceededError):
+            lambda_n_evaluate(symbol_fn("sigma6", P4, sign=+1), [u] * 10)
 
 class TestSupportAudit:
     def test_tuple_enumeration(self):

@@ -10,6 +10,7 @@ from nlslab.errors import CapExceededError
 from nlslab.fourier import FourierState
 from nlslab.rng import stream
 from nlslab.trilinear import (
+    DEFAULT_MODE_CAP,
     TrilinearSpec,
     count_A_set,
     enhanced_gain_K,
@@ -466,8 +467,11 @@ class TestRatio:
             trilinear_l2_ratio(a, FourierState.from_uhat(3.0, {4: 1.0}), c, 1.0)
         with pytest.raises(ValueError):
             trilinear_l2_ratio(a, FourierState(lam, [], []), c, 1.0)
+        # 129^3 > DEFAULT_MODE_CAP = 2^21: refused before any class collapse
+        assert DEFAULT_MODE_CAP == 1 << 21
+        wide = FourierState(lam, np.arange(129), np.ones(129, dtype=complex))
         with pytest.raises(CapExceededError):
-            trilinear_l2_ratio(a, b, c, 1.0, mode_cap=0)
+            trilinear_l2_ratio(wide, wide, wide, 1.0)
         spec = TrilinearSpec(2, (0, 2), (4, 6), (16, 18), n13=1, n23=1)
         assert trilinear_l2_ratio(a, b, c, 1.0, spec=spec) > 0
         with pytest.raises(ValueError):  # support leaves I2
