@@ -281,6 +281,11 @@ def _run_symbol_bound_scan(q: dict, seed: int):
 def _run_energy_track(q: dict, seed: int):
     if q["sign"] not in (1, -1):
         raise ConfigError("energy-track.sign: must be 1 or -1")
+    for name in ("T", "dt"):
+        if not q[name] > 0:  # NaN too
+            raise ConfigError(f"energy-track.{name}: must be positive")
+    if q["n_samples"] < 3 or q["n_samples"] % 2 == 0:
+        raise ConfigError("energy-track.n_samples: must be odd and at least 3")
     support = q["support"]
     if len(set(support)) != len(support):
         raise ConfigError("energy-track.support: modes must be distinct")
@@ -316,6 +321,7 @@ def _run_energy_track(q: dict, seed: int):
         "energy_drift": energy_drift(traj),
         "dt_effective": traj.dt,
         "rk4_steps": traj.rk4_steps,
+        "quintic_points": traj.quintic_points,
         "halvings": traj.halvings,
     }
 

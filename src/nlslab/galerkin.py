@@ -1,16 +1,19 @@
 """Truncated quintic Schrodinger flow and energy bookkeeping along it.
 
 The flow is the Hamiltonian restriction of i u_t + u_xx = sign*|u|^4 u to a
-fixed finite mode set: the quintic term is computed exactly by convolution
-and projected back onto the support.  The coefficients sit on the compressed
-grid of the support, positions (S - S[0])/gcd(S - S[0]), which holds every
-signed 5-sum of modes that lands in S; there |u|^4 u takes three
-correlations, |u|^2 as the autocorrelation of the coefficients, |u|^4 as the
-autocorrelation of that and a final convolution with the coefficients.  Time
-stepping is RK4 in the interaction picture (the linear phase is applied
-exactly), with automatic step halving until the mass drift meets tolerance.
-The phases of each block of steps are one table, computed in one array pass
-from the step times.
+fixed finite mode set: the quintic term is computed exactly and projected
+back onto the support.  The support's modes sit at positions (S - S[0]) /
+gcd(S - S[0]) of a compressed grid of length L, which keeps every signed
+5-sum of modes that lands in S.  |u|^4 u is evaluated pointwise at M = 3L - 2
+equispaced points, enough that no signed 5-sum aliases onto a position:
+one fixed matrix E takes the coefficients to the points and one fixed
+matrix F takes |v|^4 v back to the support, with the 1/lam^4 folded in.
+Both are built once per support, and the stepper and the flux check share
+them through one kernel, so there is one quintic.  Time stepping is RK4 in
+the interaction picture (the linear phase is applied exactly), with
+automatic step halving until the mass drift meets tolerance; the four
+stages of a step run in the frame of the step start, and the phases of the
+step starts of each block of steps are one table.
 
 The fundamental-theorem check integrates the two flow terms of the second
 modified energy and compares against the endpoint difference of the first.
@@ -52,7 +55,7 @@ from .symbols import (
 # flow
 
 
-#: RK4 steps per phase table, so the tables stay O(block x grid) in memory.
+#: RK4 steps per phase table, so the tables stay O(block x modes) in memory.
 _PHASE_BLOCK = 1 << 8
 
 
@@ -70,24 +73,41 @@ def _grid(S: np.ndarray) -> tuple[np.ndarray, int]:
     return pos, int(pos[-1]) + 1
 
 
-def _quintic_grid(d: np.ndarray) -> np.ndarray:
-    """Coefficients of |v|^4 v at the L positions of the grid array d.
+def _eval_matrices(S: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluation matrices E (n x M) and F (M x n) of the quintic on S.
 
-    P = correlate(d, d) holds |v|^2; it is Hermitian, so its autocorrelation
-    is its self-convolution, |v|^4, of which only the middle 2L-1 entries
-    reach the grid.  Convolving those with d over the valid range gives the
-    L grid entries of |v|^4 v: three correlations in all.
+    With positions pos and length L from ``_grid``, M = 3L - 2 equispaced
+    points theta_m = 2*pi*m/M, E[j, m] = exp(i pos_j theta_m) and F[m, k] =
+    exp(-i theta_m pos_k) / (M lam^4).  A signed 5-sum of positions lies in
+    [-2(L-1), 3(L-1)], so it differs from a position by less than M and
+    F projects |v|^4 v exactly onto S (with the quintic's 1/lam^4) as long as
+    M >= 3L - 2; no sum aliases onto a position.  The phases are reduced
+    mod M in integers before the exponential.
     """
-    p = np.correlate(d, d, "full")
-    return np.convolve(np.correlate(p, p, "same"), d, "valid")
+    pos, L = _grid(S)
+    M = 3 * L - 2
+    E = np.exp((2j * np.pi / M) * (np.multiply.outer(pos, np.arange(M)) % M))
+    F = np.ascontiguousarray(E.conj().T) / (M * lam**4)
+    return E, F
+
+
+def _quintic_points(b: np.ndarray, E: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|v|^4 v at the evaluation points of v = b @ E, written into out.
+
+    Products here and in the stepper use np.dot, which costs less per call
+    than @ at these sizes.
+    """
+    v = np.dot(b, E)
+    m = np.abs(v)
+    m *= m
+    m *= m
+    return np.multiply(v, m, out=out)
 
 
 def _quintic(uhat: np.ndarray, S: np.ndarray, lam: float) -> np.ndarray:
     """Projected coefficient array of |u|^4 u on the support S."""
-    pos, L = _grid(S)
-    dense = np.zeros(L, dtype=np.complex128)
-    dense[pos] = uhat
-    return _quintic_grid(dense)[pos] / lam**4
+    E, F = _eval_matrices(S, lam)
+    return np.dot(_quintic_points(uhat, E, np.empty(E.shape[1], dtype=np.complex128)), F)
 
 
 @dataclass(frozen=True)
@@ -96,8 +116,9 @@ class Trajectory:
 
     ``uhats[i]`` holds the coefficients on ``support`` at ``times[i]``; the
     stepper is classical RK4 in the interaction picture.  ``rk4_steps``
-    counts the steps of every attempt and ``halvings`` the step halvings
-    before the accepted one.
+    counts the steps of every attempt, ``halvings`` the step halvings before
+    the accepted one and ``quintic_points`` the evaluation points M of the
+    support's quintic (see ``_eval_matrices``).
     """
 
     lam: float
@@ -109,6 +130,7 @@ class Trajectory:
     mass_drift: float
     rk4_steps: int
     halvings: int
+    quintic_points: int
 
     @property
     def n_samples(self) -> int:
@@ -138,15 +160,20 @@ def integrate_galerkin(
     mass drift across samples is at most ``mass_tol``; persistent failure
     raises IntegrationError.
 
-    The stepper is built once per call: the state lives on the support's
-    compressed grid (see ``_grid``) and each RK4 stage is one
-    ``_quintic_grid`` between two phase rows.  Per sample interval, in blocks
-    of at most ``_PHASE_BLOCK`` steps, the step times come from one running
-    sum (bit for bit the sequential t += h) and the phases exp(i k^2 t) at the
-    step starts and midpoints from one array pass; the inbound rows are their
-    conjugates, the outbound rows carry -i*sign, the projection onto S and
-    1/lam^4.  The f2 and f3 stages share the midpoint row, and f4 reads the
-    row of the next step's f1.
+    The interaction-picture variable a = exp(i k^2 t) * uhat keeps its
+    absolute phase.  Per sample interval, in blocks of at most
+    ``_PHASE_BLOCK`` steps, the step times come from one running sum (bit for
+    bit the sequential t += h) and the phases exp(i k^2 t) at the step starts
+    from one array pass.  Each step runs its four stages in the frame of its
+    start, b = exp(-i k^2 t) * a, where the stage arguments need only the
+    constant factors P = exp(-i k^2 h/2) and P^2; each stage is one
+    ``_quintic_points`` through the matrices of ``_eval_matrices``.  With r_s
+    the projected quintic of stage s, the arguments are b, b P + c P r_1,
+    b P + c r_2 and b P^2 + 2 c P r_3 with c = -i*sign*h/2, and the update
+    is a + exp(i k^2 (t + h)) * (W @ K): W holds the four stages' point
+    values and K (4M x n) stacks F times -i*sign*h/6 * (P^2, 2P, 2P, 1).
+    Those factors depend on h alone, so they are built once per attempt,
+    folded into F.
     """
     if state.n_modes == 0:
         raise ValueError("empty support")
@@ -155,10 +182,13 @@ def integrate_galerkin(
     if sign not in (-1, 0, 1):
         raise ValueError("sign must be -1, 0, or +1")
     S = state.indices
+    lam = state.lam
     uhat0 = state.uhat_array()
+    E, F = _eval_matrices(S, lam)
+    M = E.shape[1]
     if T == 0:
         return Trajectory(
-            lam=state.lam,
+            lam=lam,
             support=S,
             times=np.zeros(1),
             uhats=uhat0[None, :].copy(),
@@ -167,6 +197,7 @@ def integrate_galerkin(
             mass_drift=0.0,
             rk4_steps=0,
             halvings=0,
+            quintic_points=M,
         )
     if n_samples is None:
         n_samples = 21
@@ -177,14 +208,8 @@ def integrate_galerkin(
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    lam = state.lam
-    pos, L = _grid(S)
     k2 = (S / lam).astype(np.float64) ** 2
-    ik2 = np.zeros(L, dtype=np.complex128)
-    ik2[pos] = 1j * k2
-    # projection onto S and the quintic's 1/lam^4, folded into the phase rows
-    weight = np.zeros(L)
-    weight[pos] = 1.0 / lam**4
+    ik2 = 1j * k2
     cmu = -1j * float(sign)
 
     def run(step: float):
@@ -194,9 +219,15 @@ def integrate_galerkin(
         delta = times[1] - times[0]
         nsub = max(1, math.ceil(delta / step - 1e-12))
         h = delta / nsub
-        hh, h6 = h / 2, h / 6
-        a = np.zeros(L, dtype=np.complex128)  # interaction-picture variable
-        a[pos] = uhat0
+        half = np.exp(-0.5 * h * ik2)  # P
+        full = half * half  # P^2
+        c = cmu * h / 2
+        g2, g3, g4 = F * (c * half), F * c, F * (2 * c * half)
+        K = np.concatenate([F * (c / 3 * x) for x in (full, 2 * half, 2 * half, 1.0)])
+        W = np.empty((4, M), dtype=np.complex128)  # the stages' point values
+        w1, w2, w3, w4 = W
+        w = W.reshape(-1)
+        a = uhat0.astype(np.complex128)  # interaction-picture variable
         t = 0.0
         for i in range(1, n_samples):
             for start in range(0, nsub, _PHASE_BLOCK):
@@ -205,19 +236,17 @@ def integrate_galerkin(
                 ts[0] = t
                 ts = np.add.accumulate(ts)  # bit for bit the running t += h
                 fwd = np.exp(np.multiply.outer(ts, ik2))
-                fwd_mid = np.exp(np.multiply.outer(ts[:-1] + hh, ik2))
-                back, back_mid = np.conj(fwd), np.conj(fwd_mid)
-                for rows in (fwd, fwd_mid):  # in place: cmu * phase * weight
-                    rows *= cmu
-                    rows *= weight
+                back = np.conj(fwd)
                 for n in range(m):
-                    f1 = fwd[n] * _quintic_grid(a * back[n])
-                    f2 = fwd_mid[n] * _quintic_grid((a + hh * f1) * back_mid[n])
-                    f3 = fwd_mid[n] * _quintic_grid((a + hh * f2) * back_mid[n])
-                    f4 = fwd[n + 1] * _quintic_grid((a + h * f3) * back[n + 1])
-                    a = a + h6 * (f1 + 2 * f2 + 2 * f3 + f4)
+                    b = a * back[n]
+                    bh = b * half
+                    _quintic_points(b, E, w1)
+                    _quintic_points(bh + np.dot(w1, g2), E, w2)
+                    _quintic_points(bh + np.dot(w2, g3), E, w3)
+                    _quintic_points(b * full + np.dot(w3, g4), E, w4)
+                    a = a + fwd[n + 1] * np.dot(w, K)
                 t = ts[-1]
-            out[i] = a[pos] * np.exp(-1j * k2 * t)
+            out[i] = a * np.exp(-1j * k2 * t)
         return times, out, h, (n_samples - 1) * nsub
 
     mass0 = float(np.sum(np.abs(uhat0) ** 2))
@@ -239,6 +268,7 @@ def integrate_galerkin(
                 mass_drift=drift,
                 rk4_steps=rk4_steps,
                 halvings=halvings,
+                quintic_points=M,
             )
         step /= 2.0
     raise IntegrationError(

@@ -200,6 +200,29 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "config,field,message",
+        [
+            ({"T": 0.0}, "T", "must be positive"),
+            ({"T": 0.0, "n_samples": 4}, "T", "must be positive"),
+            ({"n_samples": 4}, "n_samples", "must be odd and at least 3"),
+            ({"dt": 0.0}, "dt", "must be positive"),
+        ],
+        ids=["T0", "T0-even", "even", "dt0"],
+    )
+    def test_energy_track_bad_window_before_flow(self, tmp_path, capsys, monkeypatch, config, field, message):
+        # a T = 0 window used to write one row whatever n_samples said, and
+        # an even count or dt = 0 failed with the library's text, naming no
+        # field
+        def no_flow(*args, **kwargs):
+            raise AssertionError("flow integrated for an invalid window")
+
+        monkeypatch.setattr(cli, "integrate_galerkin", no_flow)
+        rc, out = run_cli(tmp_path, ["energy-track"], config=config)
+        assert rc == 2
+        assert f"energy-track.{field}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "experiment,module,work",
         [
             ("symbol-bound-scan", "symbols", "_classify_batch"),
@@ -408,6 +431,8 @@ class TestExperiments:
         assert doc["meta"]["relative"] <= 1e-9
         # four sample intervals of 0.0125 at dt 0.0125, accepted first time
         assert (doc["meta"]["rk4_steps"], doc["meta"]["halvings"]) == (4, 0)
+        # positions 0, 1, 2, 5 of [0, 4, 8, 20] on a grid of L = 6: M = 3L - 2
+        assert doc["meta"]["quintic_points"] == 16
 
     def test_energy_track_counts_every_attempt(self):
         # two sample intervals of 0.1: dt 0.1 halves twice to 0.025, whose
@@ -448,6 +473,18 @@ class TestExperiments:
             for arity in (6, 10):
                 # raises CapExceededError above symbols.CANDIDATE_CAP
                 assert len(symbols.support_tuples(support, arity)) > 0
+
+    def test_benchmark_warmups_run(self):
+        # the benchmark runs each warm-up config once before its passes and
+        # outside the guard that counts a failing job, so a warm-up that
+        # raises ends the whole benchmark run
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert {exp for jobs in workloads.WORKLOADS.values() for exp, _ in jobs} <= set(workloads.WARMUP)
+        for exp, config in workloads.WARMUP.items():
+            doc, text = workloads.run_job(cli, exp, dict(config, seed=0))
+            assert doc["rows"] and text
 
     # exact Omega = 0 rows in nonresonant classes, which go to the resonant
     # part; both configs exited 2 before that rule

@@ -50,6 +50,7 @@ QUINTIC_SUPPORTS = [
     (5,),  # one mode: gcd.reduce gives 0, the grid step is 1
     (-6, -1, 0, 4),
     (-30, -26, -20, -19, -17, -12, -9, 0, 18, 20, 25, 32),
+    (0, 1, 60),  # sparse and wide: 3 modes on a grid of 61
 ]
 
 
@@ -171,8 +172,9 @@ def frozen_sum(symbol, states):
 class TestQuintic:
     @pytest.mark.parametrize("support", QUINTIC_SUPPORTS)
     def test_matches_oracles(self, support):
-        # the compressed grid and the autocorrelation form reorder the sums
-        # only, so both oracles agree to roundoff; lam=3 checks the 1/lam^4
+        # the compressed grid and the alias-free evaluation points reorder
+        # the sums only, so both oracles agree to roundoff; lam=3 checks the
+        # 1/lam^4
         S = np.asarray(support, dtype=np.int64)
         rng = stream(10, len(S))
         for lam in (1.0, 3.0):
@@ -180,6 +182,29 @@ class TestQuintic:
             got = _quintic(u, S, lam)
             for want in (brute_quintic(u, S, lam), reference_quintic(u, S, lam)):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "state", [ACCEPT, ACTIVE, seeded_state(11, 3.0, (0, 1, 60))], ids=["accept", "active", "sparse"]
+    )
+    def test_stepper_stages_match_quintic_bitwise(self, state, monkeypatch):
+        # every RK4 stage goes through the kernel of _quintic with the same
+        # evaluation matrices, so its points, projected, are _quintic's bits
+        S, lam = state.indices, state.lam
+        stages = []
+
+        def recording(b, E, out):
+            got = kernel(b, E, out)
+            stages.append((b.copy(), got.copy()))
+            return got
+
+        kernel = galerkin._quintic_points
+        monkeypatch.setattr(galerkin, "_quintic_points", recording)
+        traj = integrate_galerkin(state, 0.01, dt=0.0025, sign=+1, n_samples=3)
+        monkeypatch.undo()
+        assert len(stages) == 4 * traj.rk4_steps
+        F = galerkin._eval_matrices(S, lam)[1]
+        for b, points in stages:
+            assert np.dot(points, F).tobytes() == _quintic(b, S, lam).tobytes()
 
 
 class TestIntegrator:
