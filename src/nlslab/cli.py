@@ -281,7 +281,7 @@ def _run_symbol_bound_scan(q: dict, seed: int):
 def _run_energy_track(q: dict, seed: int):
     if q["sign"] not in (1, -1):
         raise ConfigError("energy-track.sign: must be 1 or -1")
-    for name in ("T", "dt"):
+    for name in ("T", "dt", "mass_tol"):
         if not q[name] > 0:  # NaN too
             raise ConfigError(f"energy-track.{name}: must be positive")
     if q["n_samples"] < 3 or q["n_samples"] % 2 == 0:

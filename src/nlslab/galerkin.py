@@ -42,7 +42,6 @@ from .symbols import (
     GAMMA_MODE_CAPS,
     MultiplierParams,
     _FrozenLambda,
-    _classify_batch,
     _energy_e1i,
     _real_part,
     _symbol_batch,
@@ -57,6 +56,11 @@ from .symbols import (
 
 #: RK4 steps per phase table, so the tables stay O(block x modes) in memory.
 _PHASE_BLOCK = 1 << 8
+
+#: Most evaluation points M = 3L - 2 of a support's quintic; bounds the
+#: n x M evaluation matrices, which a sparse support with a long compressed
+#: grid would otherwise size without limit.
+QUINTIC_POINTS_CAP = 1 << 16
 
 
 def _grid(S: np.ndarray) -> tuple[np.ndarray, int]:
@@ -82,10 +86,15 @@ def _eval_matrices(S: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     [-2(L-1), 3(L-1)], so it differs from a position by less than M and
     F projects |v|^4 v exactly onto S (with the quintic's 1/lam^4) as long as
     M >= 3L - 2; no sum aliases onto a position.  The phases are reduced
-    mod M in integers before the exponential.
+    mod M in integers before the exponential.  M above QUINTIC_POINTS_CAP
+    raises CapExceededError before anything is allocated.
     """
     pos, L = _grid(S)
     M = 3 * L - 2
+    if M > QUINTIC_POINTS_CAP:
+        raise CapExceededError(
+            f"quintic on {M} evaluation points exceeds the cap {QUINTIC_POINTS_CAP}"
+        )
     E = np.exp((2j * np.pi / M) * (np.multiply.outer(pos, np.arange(M)) % M))
     F = np.ascontiguousarray(E.conj().T) / (M * lam**4)
     return E, F
@@ -104,9 +113,9 @@ def _quintic_points(b: np.ndarray, E: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.multiply(v, m, out=out)
 
 
-def _quintic(uhat: np.ndarray, S: np.ndarray, lam: float) -> np.ndarray:
-    """Projected coefficient array of |u|^4 u on the support S."""
-    E, F = _eval_matrices(S, lam)
+def _quintic(uhat: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Projected coefficient array of |u|^4 u on a support, through its
+    evaluation matrices E, F from ``_eval_matrices``."""
     return np.dot(_quintic_points(uhat, E, np.empty(E.shape[1], dtype=np.complex128)), F)
 
 
@@ -307,26 +316,24 @@ def check_flux_cap(n_modes: int) -> None:
 def _flux_table(S: np.ndarray, lam: float, p: MultiplierParams, sign: int) -> _FrozenLambda:
     """Arity-6 table over S with rows of values sigma6tilde (endpoint
     correction), M6bar (resonant term), sigma6 + mu*sigma6tilde (ten-linear)
-    and sigma6 (E1's Lambda_6), the first three read off one classification
-    of the tuples; row 3 sums bit for bit as E1's own sigma6 table."""
+    and sigma6 (E1's Lambda_6), read off one symbol pass over the tuples;
+    row 3 sums bit for bit as E1's own sigma6 table."""
 
     def symbol(js: np.ndarray, ilam: int) -> np.ndarray:
-        verdicts = _classify_batch(js, ilam, p)[:2]
-        tilde = _symbol_batch("sigma6tilde", js, ilam, p, verdicts=verdicts)
-        sigma6 = _symbol_batch("sigma6", js, ilam, p, sign=sign)
-        bar = _symbol_batch("M6bar", js, ilam, p, verdicts=verdicts)
+        tilde, bar, sigma6 = _symbol_batch(("sigma6tilde", "M6bar", "sigma6"), js, ilam, p, sign=sign)
         return np.stack([tilde, bar, sigma6 + sign * tilde, sigma6])
 
     return _FrozenLambda(symbol, [S] * 6, lam)
 
 
-def _flux_sums(table: _FrozenLambda, uhat: np.ndarray, S: np.ndarray, lam: float):
-    """(sum, summed term magnitudes) of the three flux functionals at u on S;
-    the ten-linear one substitutes Q = _quintic(u) into each slot j of the
-    third row alone with sign (-1)^j, and odd slots supply conj(Q)."""
+def _flux_sums(table: _FrozenLambda, uhat: np.ndarray, E: np.ndarray, F: np.ndarray):
+    """(sum, summed term magnitudes) of the three flux functionals at u on
+    the table's support, whose evaluation matrices are E, F; the ten-linear
+    one substitutes Q = _quintic(u) into each slot j of the third row alone
+    with sign (-1)^j, and odd slots supply conj(Q)."""
     tilde, bar = table.row(slice(0, 2))([uhat] * 6)
     ten = table.row(2)
-    q = _quintic(uhat, S, lam)
+    q = _quintic(uhat, E, F)
     z, mass = 0j, 0.0
     for j in range(6):
         zj, mj = ten([q if i == j else uhat for i in range(6)])
@@ -387,7 +394,8 @@ def ftc_residual(traj: Trajectory, p: MultiplierParams) -> FtcReport:
 
     table = _flux_table(S, lam, p, traj.sign)
     e1 = _energy_e1i([traj.state(i) for i in range(traj.n_samples)], p, traj.sign, table.row(3))
-    sums = [_flux_sums(table, u, S, lam) for u in traj.uhats]
+    E, F = _eval_matrices(S, lam)
+    sums = [_flux_sums(table, u, E, F) for u in traj.uhats]
     corr_0 = _real_part(*sums[0][0], "endpoint correction")
     corr_t = _real_part(*sums[-1][0], "endpoint correction")
     g_bar = [_real_part(1j * mu * zb, mb, "resonant flow term") for _, (zb, mb), _ in sums]

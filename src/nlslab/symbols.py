@@ -36,6 +36,7 @@ _TAU = math.tau
 GAMMA_MODE_CAPS = {6: 12}
 
 _INT64_MAX = (1 << 63) - 1
+_INT32_MAX = (1 << 31) - 1
 
 #: Most candidate tuples (mode combinations of the first n-1 slots) one
 #: zero-sum enumeration forms; bounds its transient partial-sum arrays.
@@ -174,7 +175,8 @@ def dyadic_class(x) -> int:
 
 
 def _class_batch(num: np.ndarray, lam: int) -> np.ndarray:
-    """Dyadic class of num/lam for nonnegative integer num, exact.
+    """Dyadic class of num/lam for nonnegative integer num, exact, in the
+    integer dtype of num (int32 or int64, of width w).
 
     With u = max(ceil(num/lam) - 1, 0) = max((num - 1) // lam, 0) the class
     is 2**bit_length(u), and bit_length(u) is the exponent ``np.frexp``
@@ -183,19 +185,20 @@ def _class_batch(num: np.ndarray, lam: int) -> np.ndarray:
     in [2**(k-1), 2**k) converts into [2**(k-1), 2**k]: the exponent is k,
     or k + 1 exactly when float(u) rounded up to 2**k.  Then half the class,
     2**k, exceeds u, and one integer pass, run when some u reaches 2**53,
-    halves it back.  A class above 2**62 (u >= 2**62) would not fit int64
-    and raises OverflowError; below, capping the exponent at 62 keeps the
-    shift in range, since a rounded-up exponent of 63 belongs to a class of
-    2**62.  So every class returned is exact.
+    halves it back.  A class above 2**(w-2) (u >= 2**(w-2)) would not fit
+    the dtype and raises OverflowError; below, capping the exponent at w - 2
+    keeps the shift in range, since a rounded-up exponent of w - 1 belongs to
+    a class of 2**(w-2).  So every class returned is exact.
     """
+    bits = 8 * num.dtype.itemsize - 2
     u = num - 1
     if lam > 1:
         u //= lam
     np.maximum(u, 0, out=u)
     top = int(u.max(initial=0))
-    if top >> 62:
-        raise OverflowError("dyadic class above 2**62 does not fit int64")
-    cls = np.int64(1) << np.minimum(np.frexp(u)[1], 62)
+    if top >> bits:
+        raise OverflowError(f"dyadic class above 2**{bits} does not fit {num.dtype}")
+    cls = num.dtype.type(1) << np.minimum(np.frexp(u)[1], bits)
     if top >> 53:  # float(u) may have rounded up to the next power of two
         cls >>= (cls >> 1) > u
     return cls
@@ -231,22 +234,20 @@ def _sort_key_groups(key: np.ndarray) -> np.ndarray:
     return np.concatenate([a, b, c])
 
 
-def _sort_groups(js: np.ndarray) -> np.ndarray:
-    """Canonical slot order: odd and even groups each sorted by
-    (magnitude desc, value desc); conjugation swap if the even group leads.
+def _sort_groups(jt: np.ndarray) -> np.ndarray:
+    """Canonical slot order of slot-major tuples ``jt``, shape (6, rows), in
+    their integer dtype: odd and even groups each sorted by (magnitude desc,
+    value desc); conjugation swap if the even group leads.
 
     Each group is sorted descending on the integer key 2|v| + (v > 0), which
     orders by magnitude and then puts v before -v; equal keys are equal
     values, so no stability is needed, and v = ±(key >> 1) with the sign in
-    the low bit.  Keys need |v| < 2**62.  The even group leads when its
-    magnitudes, key >> 1, are lexicographically greater; only those rows are
-    replaced by their conjugates (groups exchanged, values negated, which
-    flips the low bit of every nonzero key) and sorted again with the same
-    network.
-    The work runs slot-major: the result is a (rows, 6) view whose columns
-    are contiguous.
+    the low bit.  Keys need 2|v| + 1 to fit the dtype.  The even group leads
+    when its magnitudes, key >> 1, are lexicographically greater; only those
+    rows are replaced by their conjugates (groups exchanged, values negated,
+    which flips the low bit of every nonzero key) and sorted again with the
+    same network.
     """
-    jt = np.ascontiguousarray(js.T)
     key = np.abs(jt) << 1
     key |= jt > 0
     key = _sort_key_groups(key)
@@ -266,20 +267,39 @@ def _sort_groups(js: np.ndarray) -> np.ndarray:
     neg = (key & 1) - 1
     mag ^= neg
     mag -= neg
-    return mag.T
+    return mag
+
+
+def _merge_groups(x: np.ndarray) -> np.ndarray:
+    """Descending merge of the slot-major triples x[0::2] and x[1::2], each
+    sorted descending: Batcher's odd-even (3, 3) merge, 6 comparators.
+
+    The outer elements (0, 2) of both triples merge into v0..v3 and the
+    middle ones into w0, w1; the result is v0, then w0 against v1 and w1
+    against v2, then v3.
+    """
+    a0, b0, a1, b1, a2, b2 = x
+    v0, v1 = np.maximum(a0, b0), np.minimum(a0, b0)
+    v2, v3 = np.maximum(a2, b2), np.minimum(a2, b2)
+    v1, v2 = np.maximum(v1, v2), np.minimum(v1, v2)
+    w0, w1 = np.maximum(a1, b1), np.minimum(a1, b1)
+    return np.stack(
+        [v0, np.maximum(w0, v1), np.minimum(w0, v1), np.maximum(w1, v2), np.minimum(w1, v2), v3]
+    )
 
 
 def _pair_window(k1, k2, s3, lam: int, c_window: int) -> np.ndarray:
-    """|k1+k2||k1-k2| <= c_window lam^2 s3^2, elementwise.
+    """|k1+k2||k1-k2| <= c_window lam^2 s3^2, elementwise, on arrays of one
+    integer dtype.
 
     The window compares the pair term of the phase gap directly against the
     cap on the remaining square sum, s3 being the dyadic class of N3*.  The
     pair term equals |k1^2 - k2^2| <= max(k1^2, k2^2), which callers keep in
-    int64.  Where the cap would leave int64 it exceeds every pair term, so s3
-    is clamped at the largest value that keeps the cap in range.
+    the dtype.  Where the cap would leave the dtype it exceeds every pair
+    term, so s3 is clamped at the largest value that keeps the cap in range.
     """
     q = c_window * lam * lam
-    s_max = math.isqrt(_INT64_MAX // q)
+    s_max = math.isqrt(np.iinfo(s3.dtype).max // q)
     window = s3 > s_max
     if s_max:
         window |= np.abs(k1 + k2) * np.abs(k1 - k2) <= q * np.minimum(s3, s_max) ** 2
@@ -297,62 +317,72 @@ def _classify_batch(
     Returns (codes, upsilon, can, cls, scls): codes index KIND_NAMES, rows
     off Upsilon_6 get code 0 and upsilon False (callers gate on it); can is
     the canonical slot order, cls the dyadic class of each of its slots and
-    scls the classes in descending order.  The magnitudes are sorted once;
-    the class is monotone, so scls is the class of the sorted magnitudes.
-    Cases (ii) need the top four classes at four given slots; as multisets,
-    that holds exactly when the classes at the other two slots are
-    {scls[:, 4], scls[:, 5]}, which one max/min pair decides.
+    scls the classes in descending order, all three int64.  Canonical order
+    sorts each group by magnitude and the class is monotone, so scls is the
+    merge of the two groups' class triples (``_merge_groups``), and the
+    second-largest magnitude is max(min(a0, b0), max(a1, b1)) of the two
+    groups' magnitudes a and b.  Cases (ii) need the top four classes at four
+    given slots; as multisets, that holds exactly when the classes at the
+    other two slots are {scls[:, 4], scls[:, 5]}, which one max/min pair
+    decides.
 
-    Every int64 product below is exact or the batch is refused: with
-    M = max |js|, the products k1*k2, a*v and the pair term
-    |k1+k2||k1-k2| = |k1^2 - k2^2| are at most M^2, every class formed is at
-    most the class of 2M/lam, and the window cap of case (i) saturates
-    where it would leave int64.  A batch with M^2 or a threshold times that
+    The work runs slot-major in a signed integer width w, int32 where the
+    batch fits and int64 otherwise.  Every product below is exact or the
+    batch is refused: with M = max |js|, the products k1*k2, a*v and the
+    pair term |k1+k2||k1-k2| = |k1^2 - k2^2| are at most M^2, every class
+    formed is at most the class of 2M/lam, every sort key at most 2M + 1,
+    and the window cap of case (i) saturates where it would leave the width.
+    So the width holds the batch when M^2, a threshold times that class,
+    2M + 1 and lam (the class divisor) are at most 2**(w-1) - 1; int32 is
+    taken when they are, and a batch with M^2 or a threshold times that
     class above the int64 range raises OverflowError.
     """
     js = np.asarray(js, dtype=np.int64)
     top = max(int(js.max(initial=0)), -int(js.min(initial=0)))
     top_cls = dyadic_class(Fraction(2 * top, lam))
-    if top * top > _INT64_MAX or max(th.c_sim, th.c_gg) * top_cls > _INT64_MAX:
+    scaled = max(th.c_sim, th.c_gg) * top_cls
+    if top * top > _INT64_MAX or scaled > _INT64_MAX:
         raise OverflowError(f"frequency magnitude {top} out of the classifier's int64 range")
-    can = _sort_groups(js)
+    narrow = max(top * top, scaled, 2 * top + 1, lam) <= _INT32_MAX
+    can = _sort_groups(js.T.astype(np.int32 if narrow else np.int64, order="C"))
     mags = np.abs(can)
     cls = _class_batch(mags, lam)
-    smags = np.sort(mags, axis=1)[:, ::-1]
-    scls = _class_batch(smags, lam)
+    scls = _merge_groups(cls)
+    second = np.maximum(np.minimum(mags[0], mags[1]), np.maximum(mags[2], mags[3]))
 
-    upsilon = th.sim(scls[:, 0], scls[:, 1]) & (smags[:, 1] > p.N * lam)
-    preamble = th.sim(cls[:, 0], cls[:, 1])
+    top_pair = th.sim(scls[0], scls[1])
+    upsilon = top_pair & (second > p.N * lam)
+    preamble = th.sim(cls[0], cls[1])
 
-    k1, k2 = can[:, 0], can[:, 1]
+    k1, k2 = can[0], can[1]
     # (i): two giants nearly cancelling, everything else far below; the gap
     # can only collapse when the pair term fits under the (N3*)^2 cap.
     case_i = (
-        th.sim(scls[:, 0], scls[:, 1])
-        & th.sim(scls[:, 2], scls[:, 3])
-        & th.gg(scls[:, 0], scls[:, 2])
+        top_pair
+        & th.sim(scls[2], scls[3])
+        & th.gg(scls[0], scls[2])
         & (k1 * k2 < 0)
-        & _pair_window(k1, k2, scls[:, 2], lam, th.c_window)
+        & _pair_window(k1, k2, scls[2], lam, th.c_window)
     )
 
-    gate_ii = th.sim(scls[:, 0], scls[:, 3]) & th.gg(scls[:, 0], scls[:, 4])
+    gate_ii = th.sim(scls[0], scls[3]) & th.gg(scls[0], scls[4])
 
     def topfour(rest):
         # the top four classes fill the slots outside ``rest`` (see docstring)
-        a, b = cls[:, rest[0]], cls[:, rest[1]]
-        return (np.maximum(a, b) == scls[:, 4]) & (np.minimum(a, b) == scls[:, 5])
+        a, b = cls[rest[0]], cls[rest[1]]
+        return (np.maximum(a, b) == scls[4]) & (np.minimum(a, b) == scls[5])
 
     def sign_spread(mask, anchor, others):
         """``mask`` cleared where the per-slot gap conditions against the
         anchor column fail, evaluated on the rows ``mask`` holds only."""
         rows = np.flatnonzero(mask)
-        sub = can[rows]
-        a, v = sub[:, anchor, None], sub[:, others]
+        sub = can[:, rows]
+        a, v = sub[anchor], sub[others]
         # classes of |a - v| then |a + v|, similar to the top class or not
-        near = th.sim(_class_batch(np.abs(np.hstack([a - v, a + v])), lam), scls[rows, :1])
+        near = th.sim(_class_batch(np.abs(np.concatenate([a - v, a + v])), lam), scls[0, rows])
         sign = a * v
-        ok = ((sign <= 0) | near[:, :3]) & ((sign >= 0) | near[:, 3:])
-        ok = ok.all(axis=1) & ~((v > 0).all(axis=1) | (v < 0).all(axis=1))
+        ok = ((sign <= 0) | near[:3]) & ((sign >= 0) | near[3:])
+        ok = ok.all(axis=0) & ~((v > 0).all(axis=0) | (v < 0).all(axis=0))
         out = np.zeros_like(mask)
         out[rows] = ok
         return out
@@ -360,7 +390,7 @@ def _classify_batch(
     case_iia = gate_ii & topfour((4, 5))
     case_iib = sign_spread(gate_ii & topfour((2, 4)), 0, [1, 3, 5])
     case_iic = sign_spread(gate_ii & topfour((3, 5)), 1, [0, 2, 4])
-    case_iii = th.sim(scls[:, 0], scls[:, 4])
+    case_iii = th.sim(scls[0], scls[4])
 
     codes = np.select(
         [~preamble, case_i, case_iia, case_iib, case_iic, case_iii],
@@ -368,7 +398,8 @@ def _classify_batch(
         default=0,
     ).astype(np.int8)
     codes[~upsilon] = 0
-    return codes, upsilon, can, cls, scls
+    wide = [x.T.astype(np.int64, copy=False) for x in (can, cls, scls)]
+    return (codes, upsilon, *wide)
 
 
 def in_upsilon6(t: FreqTuple, p: MultiplierParams) -> bool:
@@ -445,7 +476,7 @@ def _omega_int(js: np.ndarray) -> np.ndarray:
 
 
 def _symbol_batch(
-    symbol_id: str,
+    symbol_ids: Union[str, Sequence[str]],
     js: np.ndarray,
     lam: int,
     p: MultiplierParams,
@@ -453,54 +484,66 @@ def _symbol_batch(
     sign: int = +1,
     th: Thresholds = DEFAULT_THRESHOLDS,
     verdicts=None,
+    oint: Optional[np.ndarray] = None,
 ):
     """Vectorized symbol values on rows of stored-frequency tuples.
+
+    ``symbol_ids`` is one id, giving that symbol's values, or a sequence of
+    ids, giving their values stacked, shape (ids, rows).  The multiplier m,
+    M6_1, the integer phase gap and the verdicts are formed once per call,
+    so each value reads the same bits as when its id is asked for alone.
 
     M6bar, the resonant part, is M6_1 on the rows of Upsilon_6 with a
     resonant class and on every row with Omega = 0 exactly, whatever its
     class, and 0 elsewhere: no normal-form correction can remove M6 where
     the phase gap vanishes.  sigma6tilde = (M6 - M6bar) / Omega where
     Omega != 0; where Omega = 0, M6 equals M6_1 bit for bit, so the
-    numerator vanishes and sigma6tilde is 0.  M6_1 sums its odd and even slots apart, so a conjugated row (groups
-    exchanged) reads its exact negation, whatever the row's batch.
+    numerator vanishes and sigma6tilde is 0.  M6_1 sums its odd and even
+    slots apart, so a conjugated row (groups exchanged) reads its exact
+    negation, whatever the row's batch.
 
     ``verdicts``, the (codes, upsilon) of ``_classify_batch`` on these rows at
-    ``th``, lets callers that read M6bar and sigma6tilde classify once.
+    ``th``, and ``oint``, their ``_omega_int``, let callers that have them
+    skip forming them again.
     """
+    ids = (symbol_ids,) if isinstance(symbol_ids, str) else tuple(symbol_ids)
+    unknown = set(ids) - set(SYMBOL_IDS)
+    if unknown:
+        raise ValueError(f"unknown symbol id {sorted(unknown)[0]!r}")
     js = np.asarray(js, dtype=np.int64)
-    if symbol_id == "sigma2":
-        return _sigma2_batch(js, lam, p)
-    # one multiplier evaluation serves sigma6, M6_1 and the product in M6
-    k = js / lam
-    m = _m_batch(np.abs(k), p)
-    if symbol_id == "sigma6":
-        return sign * m.prod(axis=1) / 6.0
-    v = m * m * k * k
-    m6_1 = ((v[:, 0] + v[:, 2] + v[:, 4]) - (v[:, 1] + v[:, 3] + v[:, 5])) / 6.0
-    if symbol_id == "M6_1":
-        return m6_1
-    oint = _omega_int(js)
-    if symbol_id in ("M6bar", "sigma6tilde"):
+    out = {}
+    if "sigma2" in ids:
+        out["sigma2"] = _sigma2_batch(js, lam, p)
+    if set(ids) - {"sigma2"}:
+        # one multiplier evaluation serves sigma6, M6_1 and the product in M6
+        k = js / lam
+        m = _m_batch(np.abs(k), p)
+        prod = m.prod(axis=1)
+        out["sigma6"] = sign * prod / 6.0
+        v = m * m * k * k
+        m6_1 = ((v[:, 0] + v[:, 2] + v[:, 4]) - (v[:, 1] + v[:, 3] + v[:, 5])) / 6.0
+        out["M6_1"] = m6_1
+    if set(ids) & {"M6", "M6bar", "sigma6tilde", "quotient"}:
+        if oint is None:
+            oint = _omega_int(js)
+        gap = oint != 0
+        omega = oint / float(lam * lam)
+        if "quotient" in ids:
+            if not gap.all():
+                raise ValueError("quotient undefined where the phase gap vanishes")
+            out["quotient"] = 6.0 * m6_1 / omega
+        # dividing by 6 last keeps M6 bitwise zero below the cutoff, where the
+        # product of multipliers is exactly 1 and the two terms must cancel
+        m6 = m6_1 - prod * omega / 6.0
+        out["M6"] = m6
+    if set(ids) & {"M6bar", "sigma6tilde"}:
         codes, upsilon = _classify_batch(js, lam, p, th)[:2] if verdicts is None else verdicts
-        m6bar = np.where((upsilon & (codes > 0)) | (oint == 0), m6_1, 0.0)
-        if symbol_id == "M6bar":
-            return m6bar
-    omega = oint / float(lam * lam)
-    if symbol_id == "quotient":
-        if (oint == 0).any():
-            raise ValueError("quotient undefined where the phase gap vanishes")
-        return 6.0 * m6_1 / omega
-    # dividing by 6 last keeps M6 bitwise zero below the cutoff, where the
-    # product of multipliers is exactly 1 and the two terms must cancel
-    m6 = m6_1 - m.prod(axis=1) * omega / 6.0
-    if symbol_id == "M6":
-        return m6
-    if symbol_id == "sigma6tilde":
-        out = np.zeros(len(js))
-        nz = oint != 0
-        out[nz] = (m6[nz] - m6bar[nz]) / omega[nz]
-        return out
-    raise ValueError(f"unknown symbol id {symbol_id!r}")
+        m6bar = np.where((upsilon & (codes > 0)) | ~gap, m6_1, 0.0)
+        out["M6bar"] = m6bar
+        out["sigma6tilde"] = np.divide(m6 - m6bar, omega, out=np.zeros(len(js)), where=gap)
+    if isinstance(symbol_ids, str):
+        return out[symbol_ids]
+    return np.stack([out[i] for i in ids])
 
 
 def evaluate_symbol(
@@ -784,7 +827,8 @@ class BoundScanReport:
 
 
 def _sample_tuples(rng, count: int, N: int, lam: int) -> np.ndarray:
-    """Random stored 6-tuples biased to have two large nearly-opposite slots."""
+    """Random stored 6-tuples biased to have two large nearly-opposite slots,
+    shape (count, 6) with each slot's column contiguous."""
     big = N * lam
     e1 = rng.uniform(0.0, 2.0, size=count)
     k1 = np.rint(big * 2.0**e1).astype(np.int64) * rng.choice((-1, 1), size=count)
@@ -792,12 +836,12 @@ def _sample_tuples(rng, count: int, N: int, lam: int) -> np.ndarray:
     k2 = -k1 + drift
     rest_exp = rng.uniform(0.0, np.log2(4.0 * N), size=(count, 3))
     rest = np.rint(2.0**rest_exp).astype(np.int64) * rng.choice((-1, 1), size=(count, 3))
-    js = np.empty((count, 6), dtype=np.int64)
-    js[:, 0] = k1
-    js[:, 1] = k2
-    js[:, 2:5] = rest
-    js[:, 5] = -js[:, :5].sum(axis=1)
-    return js
+    jt = np.empty((6, count), dtype=np.int64)
+    jt[0] = k1
+    jt[1] = k2
+    jt[2:5] = rest.T
+    jt[5] = -(k1 + k2 + rest[:, 0] + rest[:, 1] + rest[:, 2])
+    return jt.T
 
 
 #: Classification constants used by the bound scan.  The scan widens ~ to two
@@ -828,8 +872,9 @@ def bound_scan_symbols(
     on random states.
 
     Classification inside the scan runs at SCAN_THRESHOLDS, once per cutoff
-    outside the operator leg: (a) and (b) read sigma6tilde and M6bar off
-    those verdicts.  Max ratios are only meaningful relative to the
+    outside the operator leg: (a) and (b) read sigma6tilde, M6bar and the
+    integer phase gap of every sampled row from one symbol pass with those
+    verdicts, and select rows with masks.  Max ratios are only meaningful relative to the
     thresholds used.
     Nonresonant tuples with a collapsed phase gap (c_window * |Omega| below
     the (N3*)^2 square-sum scale) have no dyadic envelope: integer near-
@@ -853,23 +898,25 @@ def bound_scan_symbols(
         codes, upsilon, can, cls, scls = _classify_batch(js, lam, pN, th)
         mN = lambda c: _m_batch(c.astype(np.float64), pN)
 
+        oint = _omega_int(js)
+        tilde, bar = _symbol_batch(
+            ("sigma6tilde", "M6bar"), js, lam, pN, verdicts=(codes, upsilon), oint=oint
+        )
+        # slot-major views of the columns the envelopes read: can 0-3, cls
+        # 0-1 and scls 0-4, gathered per masked row set
+        can_t, cls_t, scls_t = can[:, :4].T, cls[:, :2].T, scls[:, :5].T
+
         nonres = upsilon & (codes == 0)
-        om = _omega_int(js[nonres])
-        vals = _symbol_batch(  # 0 where Omega = 0
-            "sigma6tilde", js[nonres], lam, pN, verdicts=(codes[nonres], upsilon[nonres])
-        )
-        sub_cls, sub_scls = cls[nonres], scls[nonres]
-        narrow = (
-            th.sim(sub_cls[:, 0], sub_cls[:, 1])
-            & th.gg(sub_scls[:, 0], sub_scls[:, 2])
-            & th.sim(sub_scls[:, 2], sub_scls[:, 3])
-        )
-        m3 = mN(sub_scls[:, 2])
-        envelope = np.where(narrow, m3**2, mN(sub_scls[:, 0]) * m3)
+        om = oint[nonres]
+        vals = tilde[nonres]  # 0 where Omega = 0
+        c, sc = cls_t[:, nonres], scls_t[:, nonres]
+        narrow = th.sim(c[0], c[1]) & th.gg(sc[0], sc[2]) & th.sim(sc[2], sc[3])
+        m3 = mN(sc[2])
+        envelope = np.where(narrow, m3**2, mN(sc[0]) * m3)
         ratio = np.abs(vals) / envelope
         # c_window |Omega| < lam^2 (N3*)^2; at large N either side can leave
         # int64, and the comparison then runs on Python integers
-        s3 = sub_scls[:, 2]
+        s3 = sc[2]
         top = max(int(om.max(initial=0)), -int(om.min(initial=0)))
         if th.c_window * top > _INT64_MAX or lam * lam * int(s3.max(initial=0)) ** 2 > _INT64_MAX:
             om, s3 = om.astype(object), s3.astype(object)
@@ -889,27 +936,27 @@ def bound_scan_symbols(
         )
 
         res = upsilon & (codes > 0)
-        jr, cr, sr = can[res], cls[res], scls[res]
-        barvals = np.abs(_symbol_batch("M6bar", js[res], lam, pN, verdicts=(codes[res], upsilon[res])))
-        big = mN(sr[:, 0]) * sr[:, 0]  # m(N1*) N1*, shared by the bounds of (i), (iii), (iv)
-        sum12 = np.abs(jr[:, 0] + jr[:, 1])
-        sum34 = np.abs(jr[:, 2] + jr[:, 3])
+        jr, cr, sr = can_t[:, res], cls_t[:, res], scls_t[:, res]
+        barvals = np.abs(bar[res])
+        big = mN(sr[0]) * sr[0]  # m(N1*) N1*, shared by the bounds of (i), (iii), (iv)
+        sum12 = np.abs(jr[0] + jr[1])
+        sum34 = np.abs(jr[2] + jr[3])
         n12, n34 = _class_batch(sum12, lam), _class_batch(sum34, lam)
         cases = {
-            "i": (th.sim(sr[:, 0], sr[:, 1]), big * mN(sr[:, 2]) * sr[:, 2]),
+            "i": (th.sim(sr[0], sr[1]), big * mN(sr[2]) * sr[2]),
             "ii": (
-                th.sim(np.minimum(cr[:, 0], cr[:, 1]), sr[:, 0])
-                & th.gg(sr[:, 0], sr[:, 2])
-                & th.sim(sr[:, 2], sr[:, 3])
-                & _pair_window(jr[:, 0], jr[:, 1], sr[:, 2], lam, th.c_window),
-                sr[:, 2].astype(np.float64) ** 2,
+                th.sim(np.minimum(cr[0], cr[1]), sr[0])
+                & th.gg(sr[0], sr[2])
+                & th.sim(sr[2], sr[3])
+                & _pair_window(jr[0], jr[1], sr[2], lam, th.c_window),
+                sr[2].astype(np.float64) ** 2,
             ),
             "iii": (
-                np.maximum(sum12, sum34) <= th.c_sim * lam * sr[:, 4],
-                big * mN(sr[:, 4]) * sr[:, 4],
+                np.maximum(sum12, sum34) <= th.c_sim * lam * sr[4],
+                big * mN(sr[4]) * sr[4],
             ),
             # N1 >~ |k1 + k2| needs no test: canonical order has |k2| <= |k1|
-            "iv": (th.sim(n12, n34) & th.gg(n12, sr[:, 4]), big * mN(n12) * n12),
+            "iv": (th.sim(n12, n34) & th.gg(n12, sr[4]), big * mN(n12) * n12),
         }
         for name, (mask, bound) in cases.items():
             r = barvals[mask] / bound[mask]

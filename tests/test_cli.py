@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,21 @@ class TestValidation:
         assert "cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_energy_track_grid_cap_refusal(self, tmp_path, capsys):
+        # three modes on a compressed grid of 10**7 + 1: the quintic would
+        # take 3 * 10**7 - 1 evaluation points, and E and F about 1.4 GB; the
+        # refusal comes before either is allocated
+        tracemalloc.start()
+        try:
+            rc, out = run_cli(tmp_path, ["energy-track"], config={"support": [0, 1, 10**7]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        assert "cap" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1 << 24
+
     def test_energy_track_bad_multiplier_before_flow(self, tmp_path, capsys, monkeypatch):
         # a non-dyadic cutoff is refused before the 10,000-step flow runs
         def no_flow(*args, **kwargs):
@@ -206,13 +222,16 @@ class TestValidation:
             ({"T": 0.0, "n_samples": 4}, "T", "must be positive"),
             ({"n_samples": 4}, "n_samples", "must be odd and at least 3"),
             ({"dt": 0.0}, "dt", "must be positive"),
+            ({"mass_tol": -1}, "mass_tol", "must be positive"),
+            ({"mass_tol": 0}, "mass_tol", "must be positive"),
+            ({"mass_tol": float("nan")}, "mass_tol", "must be positive"),
         ],
-        ids=["T0", "T0-even", "even", "dt0"],
+        ids=["T0", "T0-even", "even", "dt0", "tol-neg", "tol0", "tol-nan"],
     )
     def test_energy_track_bad_window_before_flow(self, tmp_path, capsys, monkeypatch, config, field, message):
-        # a T = 0 window used to write one row whatever n_samples said, and
-        # an even count or dt = 0 failed with the library's text, naming no
-        # field
+        # a T = 0 window used to write one row whatever n_samples said, an
+        # even count or dt = 0 failed with the library's text, naming no
+        # field, and a mass_tol that no drift can meet ran every halving
         def no_flow(*args, **kwargs):
             raise AssertionError("flow integrated for an invalid window")
 

@@ -179,7 +179,7 @@ class TestQuintic:
         rng = stream(10, len(S))
         for lam in (1.0, 3.0):
             u = rng.normal(size=len(S)) + 1j * rng.normal(size=len(S))
-            got = _quintic(u, S, lam)
+            got = _quintic(u, *galerkin._eval_matrices(S, lam))
             for want in (brute_quintic(u, S, lam), reference_quintic(u, S, lam)):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -202,9 +202,9 @@ class TestQuintic:
         traj = integrate_galerkin(state, 0.01, dt=0.0025, sign=+1, n_samples=3)
         monkeypatch.undo()
         assert len(stages) == 4 * traj.rk4_steps
-        F = galerkin._eval_matrices(S, lam)[1]
+        E, F = galerkin._eval_matrices(S, lam)
         for b, points in stages:
-            assert np.dot(points, F).tobytes() == _quintic(b, S, lam).tobytes()
+            assert np.dot(points, F).tobytes() == _quintic(b, E, F).tobytes()
 
 
 class TestIntegrator:
@@ -316,7 +316,7 @@ class TestFrozenLambda:
             want = brute_force_sum(m10_reference_symbol(w.indices, P2, +1), [w] * 10)
             assert abs(want) > 1e-3
             table = _flux_table(w.indices, w.lam, P2, +1)
-            got = _flux_sums(table, w.uhat_array(), w.indices, w.lam)[2][0]
+            got = _flux_sums(table, w.uhat_array(), *galerkin._eval_matrices(w.indices, w.lam))[2][0]
             assert got == pytest.approx(want, rel=1e-12)
         # mixed states: each slot reads its own support and coefficients
         v = seeded_state(6, 2.0, (-1, 2, 3, 6))

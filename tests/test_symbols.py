@@ -387,7 +387,7 @@ class TestClassifier:
             pN = MultiplierParams(N, 0.5)
             got = _classify_batch(js, lam, pN, th)
             assert_same_bits(got, reference_classify_batch(js, lam, pN, th))
-            assert_same_bits([_sort_groups(js)], [reference_sort_groups(js)])
+            assert_same_bits([_sort_groups(js.T).T], [reference_sort_groups(js)])
 
     def test_classifier_matches_reference_on_ties(self):
         # every sign and order of small magnitudes: v and -v in one group,
@@ -408,8 +408,19 @@ class TestClassifier:
             ],
             dtype=np.int64,
         )
-        for rows, N in ((small, 1), (small * 33, 16), (hand, 16), (hand, 1)):
-            assert_same_bits([_sort_groups(rows)], [reference_sort_groups(rows)])
+        # the classifier runs in int32 up to max |entry| = 46340, whose
+        # square is the last below 2**31, and in int64 from 46341 on
+        edges = [
+            np.array(
+                [(a, -a, 2, -1, -1, 0), (a, -a, a, -a, a, -a), (a, 1 - a, a // 2, -(a // 2), 3, -4),
+                 (-a, a - 7, 7, 0, 0, 0), (a, 5, -a, -3, 1, 0)],
+                dtype=np.int64,
+            )
+            for a in (46340, 46341)
+        ]
+        cases = [(small, 1), (small * 33, 16), (hand, 16), (hand, 1)] + [(e, N) for e in edges for N in (1, 16)]
+        for rows, N in cases:
+            assert_same_bits([_sort_groups(rows.T).T], [reference_sort_groups(rows)])
             for th in (DEFAULT_THRESHOLDS, SCAN_THRESHOLDS):
                 for lam in (1, 3):
                     pN = MultiplierParams(N, 0.5)
@@ -417,6 +428,15 @@ class TestClassifier:
                     assert_same_bits(got, reference_classify_batch(rows, lam, pN, th))
         codes = _classify_batch(small * 33, 1, P16, SCAN_THRESHOLDS)[0]
         assert set(codes.tolist()) >= {0, 1, 2, 5}  # the ties reach the cases
+
+    def test_merge_network_on_zero_one_inputs(self):
+        # by the 0-1 principle the network merges every pair of sorted
+        # triples when it merges every pair of sorted 0-1 triples: all 64
+        # 0-1 inputs, slot-major, each triple sorted descending first
+        x = np.array(list(itertools.product((0, 1), repeat=6))).T
+        x[0::2] = -np.sort(-x[0::2], axis=0)
+        x[1::2] = -np.sort(-x[1::2], axis=0)
+        assert (symbols._merge_groups(x) == -np.sort(-x, axis=0)).all()
 
     def test_int64_range_is_checked(self):
         # (a, -a, 2, -1, -1, 0) is case (i) at every a; at a = 2**32 the
@@ -491,6 +511,14 @@ class TestSymbols:
                 [_symbol_batch(s, js, 2, p, sign=-1) for s in ("sigma6", "M6_1", "M6")],
                 [-1 * prod / 6.0, m6_1, m6],
             )
+            # several ids from one call read the bits of each id alone; the
+            # support adds Omega = 0 rows, where quotient is refused
+            both = np.concatenate([js, support_tuples((-3, 0, 4, 12, 13), 6)])
+            gap = both[_omega_int(both) != 0]
+            for rows, ids in ((both, ("sigma6tilde", "M6", "sigma6", "M6bar", "M6_1")), (gap, ("quotient", "M6bar"))):
+                stacked = _symbol_batch(ids, rows, 2, p, sign=-1)
+                assert stacked.shape == (len(ids), len(rows))
+                assert_same_bits(stacked, [_symbol_batch(s, rows, 2, p, sign=-1) for s in ids])
 
     def test_m6_equals_m6_1_on_gap(self):
         t = FreqTuple((5, -5, 3, -3, 1, -1))  # omega = 0
