@@ -507,14 +507,15 @@ def _symbol_batch(
     skip forming them again.
     """
     ids = (symbol_ids,) if isinstance(symbol_ids, str) else tuple(symbol_ids)
-    unknown = set(ids) - set(SYMBOL_IDS)
+    want = set(ids)
+    unknown = want - set(SYMBOL_IDS)
     if unknown:
         raise ValueError(f"unknown symbol id {sorted(unknown)[0]!r}")
     js = np.asarray(js, dtype=np.int64)
     out = {}
-    if "sigma2" in ids:
+    if "sigma2" in want:
         out["sigma2"] = _sigma2_batch(js, lam, p)
-    if set(ids) - {"sigma2"}:
+    if want - {"sigma2"}:
         # one multiplier evaluation serves sigma6, M6_1 and the product in M6
         k = js / lam
         m = _m_batch(np.abs(k), p)
@@ -523,12 +524,12 @@ def _symbol_batch(
         v = m * m * k * k
         m6_1 = ((v[:, 0] + v[:, 2] + v[:, 4]) - (v[:, 1] + v[:, 3] + v[:, 5])) / 6.0
         out["M6_1"] = m6_1
-    if set(ids) & {"M6", "M6bar", "sigma6tilde", "quotient"}:
+    if want & {"M6", "M6bar", "sigma6tilde", "quotient"}:
         if oint is None:
             oint = _omega_int(js)
         gap = oint != 0
         omega = oint / float(lam * lam)
-        if "quotient" in ids:
+        if "quotient" in want:
             if not gap.all():
                 raise ValueError("quotient undefined where the phase gap vanishes")
             out["quotient"] = 6.0 * m6_1 / omega
@@ -536,7 +537,7 @@ def _symbol_batch(
         # product of multipliers is exactly 1 and the two terms must cancel
         m6 = m6_1 - prod * omega / 6.0
         out["M6"] = m6
-    if set(ids) & {"M6bar", "sigma6tilde"}:
+    if want & {"M6bar", "sigma6tilde"}:
         codes, upsilon = _classify_batch(js, lam, p, th)[:2] if verdicts is None else verdicts
         m6bar = np.where((upsilon & (codes > 0)) | ~gap, m6_1, 0.0)
         out["M6bar"] = m6bar
