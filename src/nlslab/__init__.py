@@ -20,6 +20,7 @@ from .lattice import (  # noqa: F401
     QuadraticForm2,
     SQUARE_FORM,
     adversarial_centers,
+    annulus_area,
     annulus_width,
     count_points,
     count_points_naive,

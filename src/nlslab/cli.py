@@ -44,8 +44,8 @@ from .lattice import (
     AnnulusSpec,
     HEX_FORM,
     SQUARE_FORM,
+    annulus_area,
     count_points,
-    gauss_error,
     scan_hypothesis_h,
 )
 from .plane import calibrate_reduction, verify_reduction
@@ -142,7 +142,7 @@ def _run_annulus_count(q: dict, seed: int):
         "r2sq": str(q["r2sq"]),
         "bounds": q["bounds"],
         "count": cnt,
-        "gauss_error": gauss_error(form, spec),
+        "gauss_error": cnt - annulus_area(form, spec),
     }
     return [row], {}
 

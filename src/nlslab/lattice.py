@@ -278,13 +278,15 @@ def count_points_naive(form: QuadraticForm2, spec: AnnulusSpec, box_cap: int = 1
     return total
 
 
-def gauss_error(form: QuadraticForm2, spec: AnnulusSpec) -> float:
-    """Signed difference between the point count and the annulus area.
+def annulus_area(form: QuadraticForm2, spec: AnnulusSpec) -> float:
+    """Area of the annulus: the region {Q <= r^2} has area
+    2*pi*r^2 / sqrt(4ac - b^2)."""
+    return 2.0 * math.pi * float(spec.r2sq - spec.r1sq) / math.sqrt(float(form.discriminant))
 
-    The region {Q <= r^2} has area 2*pi*r^2 / sqrt(4ac - b^2).
-    """
-    area = 2.0 * math.pi * float(spec.r2sq - spec.r1sq) / math.sqrt(float(form.discriminant))
-    return count_points(form, spec) - area
+
+def gauss_error(form: QuadraticForm2, spec: AnnulusSpec) -> float:
+    """Signed difference between the point count and the annulus area."""
+    return count_points(form, spec) - annulus_area(form, spec)
 
 
 @dataclass(frozen=True)

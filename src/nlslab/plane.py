@@ -89,51 +89,59 @@ def count_plane_slice(spec: PlaneSliceSpec) -> int:
     return int(mask.sum())
 
 
-def _plane_histogram(n: int, K: int, radius_cap: int) -> np.ndarray:
-    """Counts of count_plane_slice(n, ell, K) for all ell with (ell+1)K ≤ cap,
-    from one enumeration of the solid ball."""
-    nbins = radius_cap // K
-    if nbins == 0:
-        return np.zeros(0, dtype=np.int64)
+def _plane_histograms(
+    ns: Sequence[int], k_set: Sequence[int], radius_cap: int
+) -> dict[int, np.ndarray]:
+    """Per K, the (len(ns), radius_cap // K) array whose row i holds
+    count_plane_slice(ns[i], ell, K) for all ell with (ell+1)K ≤ cap.
+
+    Each plane's solid ball is enumerated once: it does not depend on K, only
+    its binning does, so every K takes one bincount of the same distances.
+    """
     smax = isqrt(radius_cap) + 1
-    xs = _coord_range(n, smax)
-    n1 = xs[:, None]
-    n2 = xs[None, :]
-    n3 = n - n1 - n2
-    D = ((3 * n1 - n) ** 2 + (3 * n2 - n) ** 2 + (3 * n3 - n) ** 2).ravel()
-    D = D[D < 9 * K * nbins]
-    return np.bincount(D // (9 * K), minlength=nbins)
+    hists = {K: np.empty((len(ns), radius_cap // K), dtype=np.int64) for K in k_set}
+    for i, n in enumerate(ns):
+        xs = _coord_range(n, smax)
+        n1 = xs[:, None]
+        n2 = xs[None, :]
+        n3 = n - n1 - n2
+        D = ((3 * n1 - n) ** 2 + (3 * n2 - n) ** 2 + (3 * n3 - n) ** 2).ravel()
+        D = D[D < 9 * radius_cap]
+        for K, h in hists.items():
+            # D // 9K reaches at most cap // K, one past the last full slab
+            h[i] = np.bincount(D // (9 * K), minlength=h.shape[1] + 1)[: h.shape[1]]
+    return hists
 
 
 def _hex_histogram(
     offset: tuple[Fraction, Fraction], scale: Fraction, K: int, radius_cap: int
 ) -> np.ndarray:
     """Counts of Q(x-cx, y-cy) ∈ [scale·ell·K, scale·(ell+1)·K) per ell for the
-    hexagonal form, ell ranging over the same grid as `_plane_histogram`."""
+    hexagonal form, ell ranging over the same grid as `_plane_histograms`.
+
+    With e the center's common denominator, x = floor(cx) + i for |i| ≤ h+1
+    and u = e·x - e·cx, so |u| ≤ e(h+1), likewise v, and every partial sum of
+    e²·Q = u² + uv + v² is at most 3e²(h+1)².  Times the scale's denominator
+    d that is the largest value formed (the top bin edge e²·d·qmax is lower,
+    as 3(h+1)² > 8·qmax), so the arrays are int64 while 3e²(h+1)²·d < 2⁶³
+    and Python ints (dtype=object) beyond: every count is exact.
+    """
     nbins = radius_cap // K
-    if nbins == 0:
-        return np.zeros(0, dtype=np.int64)
     cx, cy = Fraction(offset[0]), Fraction(offset[1])
     e = math.lcm(cx.denominator, cy.denominator)
-    if e > 5000:  # keep int64 arithmetic safe; rare path
-        out = []
-        for ell in range(nbins):
-            spec = AnnulusSpec((cx, cy), scale * ell * K, scale * (ell + 1) * K, CLOSED_OPEN)
-            out.append(count_points(HEX_FORM, spec))
-        return np.asarray(out, dtype=np.int64)
-    px, py = e * cx, e * cy  # integers
     qmax = scale * K * nbins  # exclusive bound on Q
     h = int(math.sqrt(float(qmax) / 0.375)) + 3  # 3/8 lower-bounds the form
-    xs = np.arange(math.floor(float(cx)) - h, math.ceil(float(cx)) + h + 1, dtype=np.int64)
-    ys = np.arange(math.floor(float(cy)) - h, math.ceil(float(cy)) + h + 1, dtype=np.int64)
-    u = e * xs[:, None] - int(px)
-    v = e * ys[None, :] - int(py)
+    d = scale.denominator
+    dtype = np.int64 if 3 * (e * (h + 1)) ** 2 * d < 1 << 63 else object
+    i = np.arange(-h, h + 2).astype(dtype)
+    u = e * i[:, None] - int(e * cx) % e
+    v = e * i[None, :] - int(e * cy) % e
     qnum = (u * u + u * v + v * v).ravel()  # Q = qnum / e²
-    # ell = floor(qnum·q / (e²·p·K)) with scale = p/q, exact in integers
+    # ell = floor(qnum·d / (e²·p·K)) with scale = p/d, exact in integers
     den = e * e * scale.numerator * K
-    num = qnum * scale.denominator
+    num = qnum * d
     num = num[num < den * nbins]
-    return np.bincount(num // den, minlength=nbins)
+    return np.bincount((num // den).astype(np.int64), minlength=nbins)
 
 
 @dataclass(frozen=True)
@@ -185,83 +193,73 @@ class VerificationReport:
         return not self.failures
 
 
-def _grid_mismatches(
+def _mismatches(
     ns: Sequence[int],
-    k_set: Sequence[int],
-    radius_cap: int,
-    scale: Fraction,
-    offset: tuple[Fraction, Fraction],
-    plane_hists,
-) -> tuple[int, Iterator[CellCheck]]:
-    """Largest |3D count - 2D count| over the grid, and the mismatching cells
-    in (K, n, ell) order.
-
-    Each K's plane histograms are stacked into one (len(ns), nbins) array and
-    compared with the hexagonal histogram in one pass.  Only reported cells
-    become objects: the iterator builds a `CellCheck` as each cell is taken,
-    so a caller that keeps the first few pays for those alone.
-    """
-    if not ns:
-        return 0, iter(())
-    worst = 0
-    blocks = []
-    for K in k_set:
-        hex_h = _hex_histogram(offset, scale, K, radius_cap)
-        plane_h = np.stack([plane_hists[(n, K)] for n in ns])
-        diff = plane_h - hex_h
-        if diff.any():
-            worst = max(worst, int(np.abs(diff).max()))
-            blocks.append((K, plane_h, hex_h, diff))
-
-    def cells() -> Iterator[CellCheck]:
-        for K, plane_h, hex_h, diff in blocks:
-            for i, ell in zip(*np.nonzero(diff)):
-                yield CellCheck(ns[i], int(ell), K, int(plane_h[i, ell]), int(hex_h[ell]))
-
-    return worst, cells()
+    rows: np.ndarray,
+    plane: dict[int, np.ndarray],
+    hexes: dict[int, np.ndarray],
+) -> Iterator[CellCheck]:
+    """Cells of the planes ns[rows] whose 3D count differs from the hexagonal
+    one, in (K, n, ell) order.  A `CellCheck` is built only as each cell is
+    taken, so a caller that keeps the first few pays for those alone."""
+    for K, hex_h in hexes.items():
+        plane_h = plane[K][rows]
+        for i, ell in zip(*np.nonzero(plane_h - hex_h)):
+            yield CellCheck(ns[rows[i]], int(ell), K, int(plane_h[i, ell]), int(hex_h[ell]))
 
 
 def calibrate_reduction(
     n_range: Iterable[int], k_set: Iterable[int], radius_cap: int
 ) -> ReductionCalibration:
     """Search scale and per-residue offsets until every (n, ell, K) cell count
-    equals the matching 2D annulus count; raise CalibrationError otherwise."""
+    equals the matching 2D annulus count; raise CalibrationError otherwise.
+
+    The grid must hold a plane of every residue n mod 3, since each residue
+    gets its own offset.  Each (scale, offset, K) hexagonal histogram is built
+    once and compared with every plane of the grid in one pass, which gives
+    the worst miss of each plane and so of each residue.
+    """
     ns = sorted(set(int(n) for n in n_range))
     k_set = sorted(set(int(k) for k in k_set))
     if not ns or not k_set:
         raise ValueError("calibration grid must be nonempty")
     if any(k < 1 for k in k_set):
         raise ValueError("K values must be positive")
+    if {n % 3 for n in ns} != {0, 1, 2}:
+        raise ValueError("calibration grid must hold a plane of every residue n mod 3")
     if radius_cap < 1:
         raise ValueError("radius_cap must be positive")
+    if radius_cap > DEFAULT_RADIUS_CAP:
+        raise CapExceededError(f"radius_cap {radius_cap} exceeds {DEFAULT_RADIUS_CAP}")
 
-    plane_hists = {(n, K): _plane_histogram(n, K, radius_cap) for n in ns for K in k_set}
-    by_residue = {r: [n for n in ns if n % 3 == r] for r in range(3)}
+    plane = _plane_histograms(ns, k_set, radius_cap)
+    by_residue = [np.flatnonzero(np.array(ns) % 3 == r) for r in range(3)]
 
     matches: dict[Fraction, list[list[tuple[Fraction, Fraction]]]] = {}
-    best_failure: tuple[int, list[CellCheck]] | None = None
-    for scale in CANDIDATE_SCALES:
-        per_res: list[list[tuple[Fraction, Fraction]]] = []
-        for r in range(3):
-            good = []
-            for off in CANDIDATE_OFFSETS:
-                worst, bad = _grid_mismatches(
-                    by_residue[r], k_set, radius_cap, scale, off, plane_hists
-                )
-                if not worst:
-                    good.append(off)
-                elif best_failure is None or worst < best_failure[0]:
-                    best_failure = (worst, list(islice(bad, 20)))
-            per_res.append(good)
-        if all(per_res[r] for r in range(3)):
+    # the smallest worst miss; ties go to the earliest scale, residue, offset
+    best_failure: tuple[tuple[int, int, int], list[CellCheck]] | None = None
+    for si, scale in enumerate(CANDIDATE_SCALES):
+        per_res: list[list[tuple[Fraction, Fraction]]] = [[], [], []]
+        for off in CANDIDATE_OFFSETS:
+            hexes = {K: _hex_histogram(off, scale, K, radius_cap) for K in k_set}
+            # largest |3D count - 2D count| per plane
+            worst = np.max(
+                [np.abs(plane[K] - h).max(axis=1, initial=0) for K, h in hexes.items()], axis=0
+            )
+            for r, rows in enumerate(by_residue):
+                key = (int(worst[rows].max()), si, r)
+                if not key[0]:
+                    per_res[r].append(off)
+                elif best_failure is None or key < best_failure[0]:
+                    best_failure = (key, list(islice(_mismatches(ns, rows, plane, hexes), 20)))
+        if all(per_res):
             matches[scale] = per_res
 
     if not matches:
-        worst, cells = best_failure if best_failure else (0, [])
+        (miss, _, _), cells = best_failure
         raise CalibrationError(
             f"no (scale, offsets) combination matches the grid; "
-            f"closest candidate still misses by {worst} (first bad cell: "
-            f"{cells[0] if cells else 'n/a'})",
+            f"closest candidate still misses by {miss} (first bad cell: {cells[0]})",
             failures=cells,
         )
 
@@ -298,18 +296,19 @@ def verify_reduction(
         raise ValueError("verification grid must be nonempty")
     if spot_checks < 0:
         raise ValueError("spot_checks must be nonnegative")
+    if radius_cap > DEFAULT_RADIUS_CAP:
+        raise CapExceededError(f"radius_cap {radius_cap} exceeds {DEFAULT_RADIUS_CAP}")
 
-    plane_hists = {(n, K): _plane_histogram(n, K, radius_cap) for n in ns for K in k_set}
-    total = sum(len(h) for h in plane_hists.values())
+    plane = _plane_histograms(ns, k_set, radius_cap)
+    total = sum(h.size for h in plane.values())
     # planes grouped by offset, so each (offset, K) histogram is built once
     by_offset: dict[tuple[Fraction, Fraction], list[int]] = {}
-    for n in ns:
-        by_offset.setdefault(calib.offsets[n % 3], []).append(n)
+    for i, n in enumerate(ns):
+        by_offset.setdefault(calib.offsets[n % 3], []).append(i)
     failures: list[CellCheck] = []
-    for off, group in by_offset.items():
-        failures.extend(
-            _grid_mismatches(group, k_set, radius_cap, calib.radius_scale, off, plane_hists)[1]
-        )
+    for off, rows in by_offset.items():
+        hexes = {K: _hex_histogram(off, calib.radius_scale, K, radius_cap) for K in k_set}
+        failures.extend(_mismatches(ns, np.array(rows), plane, hexes))
 
     rng = stream(seed, 101)
     done = 0

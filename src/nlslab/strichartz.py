@@ -35,7 +35,8 @@ QUAD_RTOL = 1e-7
 _BLOCK_ELEMS = 1 << 16
 
 #: Per-sigma class counts up to this size are paired by direct outer product;
-#: larger groups go through one shared FFT autocorrelation pass.
+#: larger groups go through one shared FFT autocorrelation pass, unless its
+#: length exceeds the products that pairing them directly would form.
 _DIRECT_PAIR_LIMIT = 48
 
 
@@ -124,26 +125,27 @@ def _paired_time_integral(
     """Pair (sigma, q) classes against their own conjugates under the time
     kernel and return (2 pi / lam^2) * sum, which must come out real."""
     inv_lam2 = 1.0 / (lam * lam)
+    groups = [(q[a:b], P[a:b]) for a, b in _sigma_groups(sig)]
+    dense = [(qs, Ps) for qs, Ps in groups if len(qs) > _DIRECT_PAIR_LIMIT]
+    # each dense group sits at qs - qs[0]: only differences inside a group
+    # pair, so the FFT spans the widest group, not the whole q range
+    span = max((int(qs[-1] - qs[0]) for qs, _ in dense), default=0) + 1
+    nfft = 1 << (2 * span - 1).bit_length()
+    if nfft > sum(len(qs) ** 2 for qs, _ in dense):
+        dense = []  # pairing directly forms fewer products than the FFT length
     total = 0.0 + 0.0j
-    dense: list[tuple[np.ndarray, np.ndarray]] = []
-    for a, b in _sigma_groups(sig):
-        qs, Ps = q[a:b], P[a:b]
-        if b - a <= _DIRECT_PAIR_LIMIT:
-            dq = qs[:, None] - qs[None, :]
-            kern = _kernel(dq * inv_lam2, T)
-            total += np.einsum("i,j,ij->", Ps, Ps.conj(), kern)
-        else:
-            dense.append((qs, Ps))
+    for qs, Ps in groups:
+        if dense and len(qs) > _DIRECT_PAIR_LIMIT:
+            continue
+        dq = qs[:, None] - qs[None, :]
+        kern = _kernel(dq * inv_lam2, T)
+        total += np.einsum("i,j,ij->", Ps, Ps.conj(), kern)
 
     if dense:
-        qmin = min(int(qs[0]) for qs, _ in dense)
-        qmax = max(int(qs[-1]) for qs, _ in dense)
-        span = qmax - qmin + 1
-        nfft = 1 << (2 * span - 1).bit_length()
         power = np.zeros(nfft, dtype=np.float64)
         for qs, Ps in dense:
             buf = np.zeros(nfft, dtype=np.complex128)
-            buf[qs - qmin] = Ps
+            buf[qs - qs[0]] = Ps
             power += np.abs(np.fft.fft(buf)) ** 2
         corr = np.fft.ifft(power)  # corr[d] = sum_q P[q+d] conj(P[q])
         deltas = np.arange(-(span - 1), span)

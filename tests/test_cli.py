@@ -81,6 +81,21 @@ class TestGoldenFiles:
         for key in ("seed", "version", "wall_ms"):
             assert key in doc["meta"]
 
+    def test_annulus_count_counts_once(self, tmp_path, monkeypatch):
+        from nlslab import lattice
+
+        calls, lattice_count = [], lattice.count_points
+
+        def counted(*args):
+            calls.append(args)
+            return lattice_count(*args)
+
+        monkeypatch.setattr(lattice, "count_points", counted)
+        monkeypatch.setattr(cli, "count_points", counted)
+        rc, out = run_cli(tmp_path, ["annulus-count", "--format", "csv"])
+        assert rc == 0 and out.read_text() == ANNULUS_CSV_GOLDEN
+        assert len(calls) == 1
+
     def test_csv_columns_match_declared_order(self, tmp_path):
         rc, out = run_cli(tmp_path, ["h-spectrum", "--format", "csv"], config={"N": 2})
         assert rc == 0
@@ -171,6 +186,21 @@ class TestValidation:
         )
         assert rc == 3
         assert "cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reduction_radius_cap_refusal(self, tmp_path, capsys):
+        config = {"n_min": 0, "n_max": 2, "K_list": [64], "radius_cap": 100_001}
+        rc, out = run_cli(tmp_path, ["reduction-verify"], config=config)
+        assert rc == 3
+        assert "cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reduction_grid_missing_a_residue_is_refused(self, tmp_path, capsys):
+        # one plane of residue 0: no offset of residue 1 or 2 could be checked
+        config = {"n_min": 0, "n_max": 0, "K_list": [64], "radius_cap": 200_000}
+        rc, out = run_cli(tmp_path, ["reduction-verify"], config=config)
+        assert rc == 2
+        assert "residue" in capsys.readouterr().err
         assert not out.exists()
 
     def test_energy_track_cap_refusal(self, tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from nlslab.lattice import (
     QuadraticForm2,
     _count_row_le,
     adversarial_centers,
+    annulus_area,
     annulus_width,
     count_points,
     count_points_naive,
@@ -114,6 +115,7 @@ def test_gauss_error_examples():
     assert gauss_error(SQUARE_FORM, AnnulusSpec.disk((0, 0), F(0))) == 1.0
     err = gauss_error(SQUARE_FORM, AnnulusSpec.disk((0, 0), F(25)))
     assert err == pytest.approx(81 - 25 * math.pi, abs=1e-12)
+    assert annulus_area(SQUARE_FORM, AnnulusSpec((0, 0), F(9), F(25))) == pytest.approx(16 * math.pi)
     # hex disk of squared radius 1-eps: one point, area -> pi*(1)/(sqrt(3)/2)
     eps = F(1, 10**6)
     err = gauss_error(HEX_FORM, AnnulusSpec.disk((0, 0), 1 - eps))

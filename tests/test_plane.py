@@ -61,10 +61,12 @@ def test_slice_counts_match_naive_triple_loop():
 
 
 def test_partition_periodicity_symmetry():
-    cap = 144
-    for n in (-5, 0, 2, 7):
-        for K in (1, 3, 4):
-            h = plane._plane_histogram(n, K, cap)
+    cap, base = 144, (-5, 0, 2, 7)
+    ns = sorted({m for n in base for m in (n, n + 3, -n)})
+    hists = plane._plane_histograms(ns, (1, 3, 4), cap)
+    for n in base:
+        for K, rows in hists.items():
+            h = rows[ns.index(n)]
             # the slabs partition the ball: totals agree with a direct count
             nbins = cap // K
             smax = int(np.sqrt(9 * K * nbins)) // 3 + 2
@@ -75,8 +77,18 @@ def test_partition_periodicity_symmetry():
                     D = (3 * n1 - n) ** 2 + (3 * n2 - n) ** 2 + (3 * n3 - n) ** 2
                     total += D < 9 * K * nbins
             assert int(h.sum()) == total
-            assert np.array_equal(h, plane._plane_histogram(n + 3, K, cap))
-            assert np.array_equal(h, plane._plane_histogram(-n, K, cap))
+            assert np.array_equal(h, rows[ns.index(n + 3)])
+            assert np.array_equal(h, rows[ns.index(-n)])
+
+
+def test_plane_histograms_match_slice_counts():
+    ns, cap = [-4, 0, 5], 30
+    hists = plane._plane_histograms(ns, (1, 4, 7, 31), cap)
+    assert hists[31].shape == (3, 0)
+    for K, rows in hists.items():
+        for i, n in enumerate(ns):
+            want = [count_plane_slice(PlaneSliceSpec(n, ell, K)) for ell in range(cap // K)]
+            assert rows[i].tolist() == want
 
 
 def test_hex_histogram_matches_direct_counts():
@@ -91,6 +103,16 @@ def test_hex_histogram_matches_direct_counts():
 def test_hex_histogram_big_denominator_fallback():
     off = (F(1, 9999), F(2, 7001))
     h = plane._hex_histogram(off, F(1, 2), 2, 8)
+    for ell in range(len(h)):
+        spec = AnnulusSpec(off, F(ell * 2, 2), F((ell + 1) * 2, 2), CLOSED_OPEN)
+        assert h[ell] == count_points(HEX_FORM, spec)
+
+
+def test_hex_histogram_object_path_matches_count_points():
+    # e > 2**32, so e**2 alone leaves int64 and the histogram takes Python ints
+    off = (F(1, 3**21), F(2, 5**14))
+    h = plane._hex_histogram(off, F(1, 2), 2, 12)
+    assert len(h) == 6 and h.sum() > 0
     for ell in range(len(h)):
         spec = AnnulusSpec(off, F(ell * 2, 2), F((ell + 1) * 2, 2), CLOSED_OPEN)
         assert h[ell] == count_points(HEX_FORM, spec)
@@ -119,8 +141,10 @@ def test_calibration_result():
 
 
 def test_calibration_degenerate_single_cell():
-    cal = calibrate_reduction([0], [1], 1)
-    # both sides are 1 whatever the scale; preference order picks 1
+    cal = calibrate_reduction([0, 1, 2], [1], 1)
+    # one cell per plane: the origin alone for n = 0 and three triples for
+    # n = 1, 2, matched by the origin and the deep holes at scale 1 and 1/2;
+    # preference order picks 1
     assert cal.radius_scale == F(1)
     assert cal.offsets[0] == (F(0), F(0))
     assert F(1, 2) in cal.scale_alternates
@@ -186,6 +210,54 @@ def test_verify_reports_wrong_offset():
     cell = rep.failures[0]
     assert (cell.n, cell.ell, cell.K, cell.lhs) == (0, 0, 4, 7)
     assert cell.rhs != 7 and not cell.ok
+
+
+def test_calibration_refuses_a_grid_missing_a_residue():
+    # no plane of residue 1 or 2 would be compared, so no offset is checked
+    with pytest.raises(ValueError, match="residue"):
+        calibrate_reduction([0], [64], 200)
+    with pytest.raises(ValueError, match="residue"):
+        calibrate_reduction(range(-9, 10, 3), [1, 2], 40)
+
+
+def test_radius_cap_is_refused_above_the_default():
+    ok = calibrate_reduction([0, 1, 2], [1], 9)
+    with pytest.raises(CapExceededError):
+        calibrate_reduction([0, 1, 2], [1], plane.DEFAULT_RADIUS_CAP + 1)
+    with pytest.raises(CapExceededError):
+        verify_reduction(ok, [0, 1, 2], [1], plane.DEFAULT_RADIUS_CAP + 1)
+
+
+class TestWorkCounts:
+    """Each plane ball and each hexagonal histogram is built once on the
+    default reduction-verify grid: 61 planes, K in {1, 2, 4, 8}, cap 900."""
+
+    NS, KS, CAP = range(-30, 31), [1, 2, 4, 8], 900
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        original = getattr(plane, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(plane, name, wrapper)
+        return calls
+
+    def test_calibration_builds_each_hex_histogram_once(self, monkeypatch):
+        calls = self.counted(monkeypatch, "_hex_histogram")
+        calibrate_reduction(self.NS, self.KS, self.CAP)
+        assert len(calls) == len(set(calls)) == 3 * 4 * 4  # scales x offsets x K
+
+    def test_each_ball_is_enumerated_once(self, monkeypatch):
+        balls = self.counted(monkeypatch, "_coord_range")
+        cal = calibrate_reduction(self.NS, self.KS, self.CAP)
+        assert len(balls) == 61
+        balls.clear()
+        verify_reduction(cal, self.NS, self.KS, self.CAP, spot_checks=0)
+        assert len(balls) == 61
 
 
 def test_verify_determinism():

@@ -90,6 +90,20 @@ def test_l6_direct_and_dense_routes_agree(monkeypatch):
     assert a == pytest.approx(b, rel=1e-11)
 
 
+def test_l6_spread_support_pairs_within_each_group(monkeypatch):
+    # q spans 1.2e9 over the whole support, but a sigma group only a little:
+    # placed at their own origin the dense groups still need an FFT of 2**31,
+    # more than the 1.2e6 products of pairing them directly, so they pair
+    # directly and no FFT buffer is allocated
+    rng = np.random.default_rng(1)
+    amps = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+    st = FourierState(1.0, 1000 * np.arange(-20, 21), amps)
+    a = l6_time_integral_exact(st, 0.2)
+    monkeypatch.setattr(strichartz, "_DIRECT_PAIR_LIMIT", 10**9)
+    b = l6_time_integral_exact(st, 0.2)
+    assert a == pytest.approx(b, rel=1e-11)
+
+
 def test_quadrature_guards():
     with pytest.raises(ValueError):
         l6_norm_quadrature(TWO_MODE, 1.0, 3, 5)  # needs 3*span+1 = 4
